@@ -17,6 +17,12 @@ Public API layout:
 * :mod:`repro.compression` — top-k sparsification and quantization.
 * :mod:`repro.engine` — the deterministic discrete-event simulator.
 * :mod:`repro.experiments` — per-table/figure reproduction harness.
+
+Importing the package first pins BLAS to one thread
+(:mod:`repro._numenv`), so seeded results do not depend on the host's
+core count.
 """
+
+from repro import _numenv  # noqa: F401  (must run before numpy loads)
 
 __version__ = "1.0.0"

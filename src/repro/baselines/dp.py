@@ -22,7 +22,6 @@ from repro.compression import decompress
 from repro.core.chat import equal_compression_decision
 from repro.core.trainer_base import TrainerBase, TrainerConfig
 from repro.net.channel import simulate_transfer
-from repro.nn.params import clone_model, set_flat_params
 
 __all__ = ["DpConfig", "DpTrainer", "powerloss_weights"]
 
@@ -120,9 +119,7 @@ class DpTrainer(TrainerBase):
         idx = node.rng.choice(n, size=k, replace=False)
         val = node.dataset.subset(idx)
         loss_local = node.evaluate(val, with_penalty=False)
-        probe = clone_model(node.model)
-        set_flat_params(probe, received_params)
-        loss_received = node.evaluate_model_on(probe, val)
+        loss_received = node.evaluate_params(received_params, val)
         w_local, w_received = powerloss_weights(loss_local, loss_received)
         merged = w_local * node.flat_params + w_received * received_params
         node.replace_model_params(merged.astype(np.float32))

@@ -118,9 +118,10 @@ class TopkPlan:
     """A reusable magnitude ordering for compressing one parameter vector.
 
     Sampling several compression levels of the *same* parameters (the
-    Eq. 7 psi-map fit evaluates ~7 levels per chat) only needs one full
-    magnitude sort; each level is then an O(k) slice instead of a fresh
-    O(n) argpartition of the whole vector.
+    overlapped chat's batched psi probe fills ~7 levels per chat, then
+    compresses the payload) only needs one full magnitude sort; each
+    level is then an O(k) slice instead of a fresh O(n) argpartition of
+    the whole vector.
     """
 
     flat: np.ndarray  # float32 parameter snapshot
@@ -161,7 +162,10 @@ class TopkPlan:
 def topk_plan(flat: np.ndarray, nominal_size_bytes: int) -> TopkPlan:
     """Sort ``flat`` by magnitude once, for repeated :meth:`TopkPlan.compress`."""
     flat = np.asarray(flat, dtype=np.float32)
-    order = np.argsort(np.abs(flat))  # introsort: ~2x faster than 7 argpartitions
+    # The default (unstable) argsort decides ties at a cut.  The psi-map
+    # fit selects levels by magnitude thresholds instead and falls back
+    # to this same call when a cut is tied, so both agree on every level.
+    order = np.argsort(np.abs(flat))
     return TopkPlan(flat=flat, order=order, nominal_size_bytes=nominal_size_bytes)
 
 

@@ -23,7 +23,7 @@ from repro.coreset import (
     reduce_coreset,
 )
 from repro.nn import Adam, waypoint_l1
-from repro.nn.params import get_flat_params, set_flat_params
+from repro.nn.params import get_flat_params, set_flat_params, shared_probe
 from repro.sim.dataset import DrivingDataset
 from repro.telemetry import hooks as telemetry
 
@@ -269,7 +269,7 @@ class VehicleNode:
             bev, commands, targets, _ = dataset.arrays()
             for start in range(0, miss.size, _EVAL_CHUNK):
                 chunk = miss[start : start + _EVAL_CHUNK]
-                pred = self.model.forward(bev[chunk], commands[chunk])
+                pred = self.model.infer(bev[chunk], commands[chunk])
                 _, per_sample, _ = waypoint_l1(pred, targets[chunk])
                 losses[chunk] = per_sample
                 chunk_slots = slots[chunk]
@@ -302,17 +302,26 @@ class VehicleNode:
         losses = self.per_sample_losses(dataset)
         _, commands, _, weights = dataset.arrays()  # cached views, no re-stack
         if with_penalty and self.config.penalty.enabled:
-            return penalized_loss(self.model, losses, commands, weights, self.config.penalty)
+            return penalized_loss(
+                self.flat_params, losses, commands, weights, self.config.penalty
+            )
         total = weights.sum()
         return float(losses @ (weights / total))
 
-    def evaluate_model_on(self, model, dataset: DrivingDataset) -> float:
-        """Weighted loss of an *arbitrary* model (e.g. a peer's) — uncached."""
+    def evaluate_params(self, flat: np.ndarray, dataset: DrivingDataset) -> float:
+        """Weighted loss (Eq. 6) of *arbitrary* parameters — uncached.
+
+        Scores e.g. a received peer model or a psi-map level on the
+        shared :class:`~repro.nn.params.ParamProbe` of this node's
+        architecture; passing the probe's own buffer skips the copy.
+        """
+        probe = shared_probe(self.model)
+        probe.load(flat)
         bev, commands, targets, weights = dataset.arrays()
-        pred = model.forward(bev, commands)
+        pred = probe.model.infer(bev, commands)
         scalar, per_sample, _ = waypoint_l1(pred, targets, weights=weights)
         if self.config.penalty.enabled:
-            return penalized_loss(model, per_sample, commands, weights, self.config.penalty)
+            return penalized_loss(probe.flat, per_sample, commands, weights, self.config.penalty)
         return scalar
 
     # -- coreset ------------------------------------------------------------
@@ -366,21 +375,22 @@ class VehicleNode:
     def build_psi_map(self) -> PsiLossMap:
         """Fit phi: compression level -> loss on the own coreset.
 
-        With the default top-k compressor the psi grid is sampled from
-        one shared magnitude ordering (``compress_fn=None`` lets
-        :func:`repro.core.psi.build_psi_map` build a
-        :class:`~repro.compression.TopkPlan`); quantization has no such
-        reusable precomputation and keeps the per-psi path.
+        Every level is written straight into the shared probe's buffer
+        and scored there.  The default top-k compressor samples the
+        grid from one magnitude sort (see
+        :func:`repro.core.psi.build_psi_map`); quantization compresses
+        per psi.
         """
         compress_fn = None
         if self.config.compressor != "topk":
             compress_fn = lambda flat, psi: self.compress_model(psi)  # noqa: E731
+        coreset = self.coreset.data
         return build_psi_map(
-            self.model,
-            lambda probe: self.evaluate_model_on(probe, self.coreset.data),
-            self.config.nominal_model_bytes,
+            self.flat_params,
+            lambda params: self.evaluate_params(params, coreset),
             psi_grid=self.config.psi_grid,
             compress_fn=compress_fn,
+            out=shared_probe(self.model).flat,
         )
 
     def compress_model(self, psi: float) -> CompressedModel:
@@ -419,12 +429,8 @@ class VehicleNode:
             weights = (0.5, 0.5)
             merged = aggregate_models(local, received, 1.0, 1.0)
         else:
-            from repro.nn.params import clone_model
-
-            probe = clone_model(self.model)
-            set_flat_params(probe, received)
             loss_local = self.evaluate(eval_set)
-            loss_received = self.evaluate_model_on(probe, eval_set)
+            loss_received = self.evaluate_params(received, eval_set)
             merged = aggregate_models(local, received, loss_local, loss_received)
             weights = aggregation_weights(loss_local, loss_received)
         set_flat_params(self.model, merged)

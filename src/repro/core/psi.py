@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import Akima1DInterpolator
 
-from repro.compression import decompress, topk_plan
+from repro.compression import decompress, topk_for_psi
 from repro.core.value import truncated_gain
-from repro.nn.params import get_flat_params
 
 __all__ = ["PsiLossMap", "build_psi_map", "optimize_compression", "PsiDecision"]
 
@@ -62,46 +61,84 @@ class PsiLossMap:
 
 
 def build_psi_map(
-    model,
-    evaluate_on_coreset,
-    nominal_size_bytes: int,
+    flat: np.ndarray,
+    score,
     psi_grid: tuple[float, ...] = DEFAULT_PSI_GRID,
     compress_fn=None,
+    out: np.ndarray | None = None,
 ) -> PsiLossMap:
     """Sample compression levels and fit the phi mapping.
 
     Parameters
     ----------
-    model:
-        The vehicle's current model (restored untouched afterwards).
-    evaluate_on_coreset:
-        Callable ``(model) -> float`` returning the weighted loss on the
-        vehicle's own coreset.
-    nominal_size_bytes:
-        Paper-scale uncompressed model size (for size accounting only).
+    flat:
+        The vehicle's current parameters (read, never written).
+    score:
+        Callable ``(params) -> float`` returning the weighted loss of a
+        flat parameter vector on the vehicle's own coreset.  It is
+        called once per level with ``out`` holding that level.
     compress_fn:
         Optional ``(flat, psi) -> CompressedModel`` matching the
-        compressor the vehicle will actually use; defaults to top-k
-        sharing one magnitude ordering (:func:`repro.compression.topk_plan`)
-        across the whole grid instead of re-partitioning per psi.
+        compressor the vehicle will actually use; each level is then
+        its decompressed output.  Defaults to magnitude top-k.
+    out:
+        Scratch float32 vector of ``flat.size`` that every level is
+        written into — typically the buffer behind a
+        :class:`~repro.nn.params.ParamProbe`, so scoring needs no copy.
     """
-    from repro.nn.params import clone_model, set_flat_params
-
-    flat = get_flat_params(model)
+    flat = np.asarray(flat, dtype=np.float32)
+    buf = np.empty_like(flat) if out is None else out
     if compress_fn is None:
-        plan = topk_plan(flat, nominal_size_bytes)
-        compress_fn = lambda _flat, psi: plan.compress(psi)  # noqa: E731
-    probe = clone_model(model)
+        write_level = _topk_levels(flat)
+    else:
+        def write_level(psi: float, dst: np.ndarray) -> None:
+            np.copyto(dst, decompress(compress_fn(flat, psi)))
     psis, losses = [], []
     for psi in sorted(psi_grid):
         if psi >= 1.0:
-            set_flat_params(probe, flat)
+            np.copyto(buf, flat)
         else:
-            compressed = compress_fn(flat, psi)
-            set_flat_params(probe, decompress(compressed))
+            write_level(psi, buf)
         psis.append(float(psi))
-        losses.append(float(evaluate_on_coreset(probe)))
+        losses.append(float(score(buf)))
     return PsiLossMap(np.asarray(psis), np.asarray(losses))
+
+
+def _topk_levels(flat: np.ndarray):
+    """A writer ``(psi, buf)`` of ``flat`` top-k sparsified to ``psi``.
+
+    Each level is bit-identical to
+    ``decompress(topk_plan(flat, ...).compress(psi))``.
+    One ascending sort of the magnitudes ``s`` gives every cut: level
+    ``k`` keeps the entries with magnitude ``>= s[n-k]``, which is
+    exactly the top-k set when ``s[n-k-1] < s[n-k]``.  A tied cut, or a
+    non-finite parameter, falls back to the ``argsort`` order, so tie
+    resolution is the plan's.  Unsent entries are ``+0.0``.
+    """
+    n = flat.size
+    magnitude = np.abs(flat)
+    ordered = np.sort(magnitude)
+    finite = n == 0 or bool(np.isfinite(ordered[-1]))  # NaN/inf sort last
+    order = None
+
+    def write(psi: float, buf: np.ndarray) -> None:
+        nonlocal order
+        k = topk_for_psi(n, psi)
+        if k == 0:
+            buf.fill(0.0)
+            return
+        cut = ordered[n - k]
+        if finite and ordered[n - k - 1] < cut:
+            np.multiply(flat, magnitude >= cut, out=buf)
+            buf += 0.0  # -0.0 -> +0.0, as decompress leaves unsent entries
+            return
+        if order is None:
+            order = np.argsort(magnitude)
+        kept = order[n - k :]
+        buf.fill(0.0)
+        buf[kept] = flat[kept]
+
+    return write
 
 
 @dataclass(frozen=True)

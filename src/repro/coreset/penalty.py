@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.model import N_COMMANDS
-from repro.nn.params import get_flat_params
 
 __all__ = ["PenaltyConfig", "command_loss_entropy", "penalized_loss"]
 
@@ -67,13 +66,17 @@ def command_loss_entropy(per_sample_losses: np.ndarray, commands: np.ndarray) ->
 
 
 def penalized_loss(
-    model,
+    flat_params: np.ndarray,
     per_sample_losses: np.ndarray,
     commands: np.ndarray,
     weights: np.ndarray,
     config: PenaltyConfig,
 ) -> float:
-    """Eq. 6: weighted empirical loss plus L2 and command-entropy terms."""
+    """Eq. 6: weighted empirical loss plus L2 and command-entropy terms.
+
+    ``flat_params`` is the scored model's flat float32 parameter vector
+    (the L2 term's ``x``).
+    """
     weights = np.asarray(weights, dtype=float)
     total = weights.sum()
     if total <= 0:
@@ -81,8 +84,7 @@ def penalized_loss(
     empirical = float(np.asarray(per_sample_losses) @ (weights / total))
     value = empirical
     if config.lambda_l2 > 0:
-        flat = get_flat_params(model)
-        value += config.lambda_l2 * float(np.linalg.norm(flat))
+        value += config.lambda_l2 * float(np.linalg.norm(flat_params))
     if config.lambda_entropy > 0:
         value += config.lambda_entropy * command_loss_entropy(per_sample_losses, commands)
     return value

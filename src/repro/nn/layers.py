@@ -5,6 +5,10 @@ Each :class:`Module` caches whatever its backward pass needs during
 through :meth:`Module.parameters`.  There is no autograd graph — the
 call order of ``backward`` must mirror ``forward`` in reverse, which
 :class:`Sequential` handles for the common case.
+
+``infer`` is the inference forward: the same arithmetic as ``forward``,
+op for op (so outputs are bit-identical), but it caches nothing — for
+evaluation and probing, which never run a backward pass.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ class Module:
         """Compute the layer output, caching what backward needs."""
         raise NotImplementedError
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """``forward`` without caching anything; no backward may follow."""
+        raise NotImplementedError
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Accumulate parameter grads; return the input gradient."""
         raise NotImplementedError
@@ -68,6 +76,9 @@ class Linear(Module):
         # with a copy; read-only inputs (dataset views) cannot mutate
         # under us and are aliased for free.
         self._input = x.copy() if x.flags.writeable else x
+        return self.infer(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.data + self.bias.data
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -118,12 +129,18 @@ class Conv2d(Module):
         return np.ascontiguousarray(cols)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, _, height, width = x.shape
-        k = self.kernel_size
-        out_h, out_w = height - k + 1, width - k + 1
         cols = self._im2col(x)
         self._cols = cols
         self._x_shape = x.shape
+        return self._convolve(cols, x.shape)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self._convolve(self._im2col(x), x.shape)
+
+    def _convolve(self, cols: np.ndarray, x_shape: tuple[int, ...]) -> np.ndarray:
+        batch, _, height, width = x_shape
+        k = self.kernel_size
+        out_h, out_w = height - k + 1, width - k + 1
         w = self.weight.data.reshape(self.weight.data.shape[0], -1)  # (out_c, c*k*k)
         out = cols @ w.T + self.bias.data  # (batch, out_h*out_w, out_c)
         return out.transpose(0, 2, 1).reshape(batch, -1, out_h, out_w)
@@ -162,6 +179,9 @@ class ReLU(Module):
         self._mask = x > 0
         return x * self._mask
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x * (x > 0)
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward before forward")
@@ -178,6 +198,9 @@ class Tanh(Module):
         self._out = np.tanh(x)
         return self._out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x)
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:
             raise RuntimeError("backward before forward")
@@ -192,6 +215,9 @@ class Flatten(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
+        return self.infer(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -209,6 +235,11 @@ class Sequential(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         for module in self.modules:
             x = module.forward(x)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        for module in self.modules:
+            x = module.infer(x)
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

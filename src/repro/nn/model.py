@@ -90,23 +90,45 @@ class WaypointNet(Module):
         commands:
             ``(batch,)`` integer array in ``[0, N_COMMANDS)``.
         """
-        commands = np.asarray(commands)
-        if commands.ndim != 1 or commands.shape[0] != bev.shape[0]:
-            raise ValueError("commands must be a (batch,) vector matching bev")
+        commands = self._check_commands(bev, commands)
         # ``copy=False``: the first trunk layer defensively copies any
         # writeable input it must cache (see Linear.forward), so an
         # unconditional astype copy here would just double the work.
         features = self.trunk.forward(bev.astype(np.float32, copy=False))
-        out = np.zeros((bev.shape[0], 2 * self.n_waypoints), dtype=np.float32)
-        for cmd in range(N_COMMANDS):
-            mask = commands == cmd
-            if mask.any():
-                out[mask] = self.heads[cmd].forward(features[mask])
+        out = self._route_heads(features, commands, train=True)
         self._features = features
         # Backward re-reads the command vector after control returned to
         # the caller; copy writeable inputs so buffer reuse cannot
         # silently reroute head gradients (same contract as Linear).
         self._commands = commands.copy() if commands.flags.writeable else commands
+        return out
+
+    def infer(self, bev: np.ndarray, commands: np.ndarray) -> np.ndarray:  # type: ignore[override]
+        """:meth:`forward` without caching anything for a backward pass.
+
+        The same op sequence, so predictions are bit-identical; used by
+        evaluation and parameter probing.
+        """
+        commands = self._check_commands(bev, commands)
+        features = self.trunk.infer(bev.astype(np.float32, copy=False))
+        return self._route_heads(features, commands, train=False)
+
+    @staticmethod
+    def _check_commands(bev: np.ndarray, commands: np.ndarray) -> np.ndarray:
+        commands = np.asarray(commands)
+        if commands.ndim != 1 or commands.shape[0] != bev.shape[0]:
+            raise ValueError("commands must be a (batch,) vector matching bev")
+        return commands
+
+    def _route_heads(self, features: np.ndarray, commands: np.ndarray, train: bool) -> np.ndarray:
+        """Each command's head applied to its rows of ``features``."""
+        out = np.zeros((features.shape[0], 2 * self.n_waypoints), dtype=np.float32)
+        for cmd in range(N_COMMANDS):
+            mask = commands == cmd
+            if mask.any():
+                head = self.heads[cmd]
+                rows = features[mask]
+                out[mask] = head.forward(rows) if train else head.infer(rows)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:  # type: ignore[override]

@@ -23,6 +23,8 @@ __all__ = [
     "get_flat_grads",
     "clone_model",
     "num_params",
+    "ParamProbe",
+    "shared_probe",
 ]
 
 
@@ -86,3 +88,50 @@ def get_flat_grads(model: "Module") -> np.ndarray:
 def clone_model(model: "Module") -> "Module":
     """Deep-copy a model (parameters, structure, no shared arrays)."""
     return copy.deepcopy(model)
+
+
+class ParamProbe:
+    """A scratch copy of a model whose parameters are views into ``flat``.
+
+    Scoring an arbitrary parameter vector (a psi-map level, a received
+    peer model) is then one write into ``flat`` and one
+    ``model.infer`` — no model clone and no per-parameter scatter.
+    """
+
+    def __init__(self, template: "Module"):
+        self.model = clone_model(template)
+        params = self.model.parameters()
+        self.flat = np.empty(sum(p.size for p in params), dtype=np.float32)
+        offset = 0
+        for p in params:
+            view = self.flat[offset : offset + p.size].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            offset += p.size
+
+    def load(self, flat: np.ndarray) -> None:
+        """Make ``flat`` the probe's parameters (free if it is ``self.flat``)."""
+        if flat is not self.flat:
+            if flat.size != self.flat.size:
+                raise ValueError(
+                    f"flat vector has {flat.size} entries, probe needs {self.flat.size}"
+                )
+            np.copyto(self.flat, flat.ravel())
+
+
+_PROBES: dict[tuple, ParamProbe] = {}
+
+
+def shared_probe(model: "Module") -> ParamProbe:
+    """The process-wide :class:`ParamProbe` for ``model``'s architecture.
+
+    Probes are scratch: every use overwrites ``flat`` first, so models
+    of one architecture (a whole fleet) share a single probe instead of
+    holding a model copy each.  Not thread-safe: scoring runs on one
+    thread per process (parallel runs and step workers are processes).
+    """
+    key = (type(model), tuple(p.data.shape for p in model.parameters()))
+    probe = _PROBES.get(key)
+    if probe is None:
+        probe = _PROBES[key] = ParamProbe(model)
+    return probe

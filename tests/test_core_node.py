@@ -61,9 +61,9 @@ class TestEvaluate:
         without = node.evaluate(node.dataset, with_penalty=False)
         assert with_p >= without
 
-    def test_evaluate_model_on_matches_self(self, node):
+    def test_evaluate_params_matches_self(self, node):
         a = node.evaluate(node.coreset.data, with_penalty=True)
-        b = node.evaluate_model_on(node.model, node.coreset.data)
+        b = node.evaluate_params(node.flat_params, node.coreset.data)
         assert a == pytest.approx(b, rel=1e-5)
 
 

@@ -56,9 +56,8 @@ class TestPsiLossMap:
 
     def test_build_map_decreasing_overall(self, node):
         psi_map = build_psi_map(
-            node.model,
-            lambda probe: node.evaluate_model_on(probe, node.coreset.data),
-            node.config.nominal_model_bytes,
+            node.flat_params,
+            lambda params: node.evaluate_params(params, node.coreset.data),
         )
         # Full model (psi=1) should score no worse than the 5% model.
         assert psi_map.loss_at(1.0) <= psi_map.loss_at(0.05) + 1e-6
@@ -67,12 +66,13 @@ class TestPsiLossMap:
         from repro.nn.params import get_flat_params
 
         before = get_flat_params(node.model).copy()
+        flat = node.flat_params
         build_psi_map(
-            node.model,
-            lambda probe: node.evaluate_model_on(probe, node.coreset.data),
-            node.config.nominal_model_bytes,
+            flat,
+            lambda params: node.evaluate_params(params, node.coreset.data),
         )
         assert np.array_equal(get_flat_params(node.model), before)
+        assert np.array_equal(flat, before)
 
 
 def flat_maps(loss_at_one=1.0, loss_at_min=3.0):

@@ -11,6 +11,7 @@ from repro.coreset import (
     penalized_loss,
     reduce_coreset,
 )
+from repro.nn.params import get_flat_params
 
 
 @pytest.fixture
@@ -90,15 +91,15 @@ class TestPenalizedLoss:
     def test_reduces_to_weighted_mean_when_disabled(self, model):
         config = PenaltyConfig(lambda_l2=0.0, lambda_entropy=0.0)
         losses = np.array([1.0, 3.0])
-        value = penalized_loss(model, losses, np.array([0, 1]), np.array([1.0, 1.0]), config)
+        value = penalized_loss(
+            get_flat_params(model), losses, np.array([0, 1]), np.array([1.0, 1.0]), config
+        )
         assert value == pytest.approx(2.0)
 
     def test_l2_term_added(self, model):
-        from repro.nn.params import get_flat_params
-
         config = PenaltyConfig(lambda_l2=0.5, lambda_entropy=0.0)
         losses = np.array([1.0])
-        value = penalized_loss(model, losses, np.array([0]), np.array([1.0]), config)
+        value = penalized_loss(get_flat_params(model), losses, np.array([0]), np.array([1.0]), config)
         expected = 1.0 + 0.5 * np.linalg.norm(get_flat_params(model))
         assert value == pytest.approx(expected, rel=1e-5)
 
@@ -106,18 +107,22 @@ class TestPenalizedLoss:
         config = PenaltyConfig(lambda_l2=0.0, lambda_entropy=1.0)
         losses = np.array([10.0, 0.01])
         commands = np.array([0, 1])
-        value = penalized_loss(model, losses, commands, np.ones(2), config)
+        value = penalized_loss(get_flat_params(model), losses, commands, np.ones(2), config)
         assert value > losses.mean()
 
     def test_weights_respected(self, model):
         config = PenaltyConfig(lambda_l2=0.0, lambda_entropy=0.0)
         losses = np.array([1.0, 3.0])
-        value = penalized_loss(model, losses, np.array([0, 1]), np.array([3.0, 1.0]), config)
+        value = penalized_loss(
+            get_flat_params(model), losses, np.array([0, 1]), np.array([3.0, 1.0]), config
+        )
         assert value == pytest.approx(1.5)
 
     def test_zero_weight_sum_rejected(self, model):
         with pytest.raises(ValueError):
-            penalized_loss(model, np.ones(2), np.zeros(2, int), np.zeros(2), PenaltyConfig())
+            penalized_loss(
+                get_flat_params(model), np.ones(2), np.zeros(2, int), np.zeros(2), PenaltyConfig()
+            )
 
     def test_enabled_flag(self):
         assert PenaltyConfig().enabled

@@ -75,7 +75,7 @@ class TestEmpiricalEstimates:
         before = get_flat_params(node.model).copy()
         alpha = estimate_lipschitz(
             node.model,
-            lambda m: node.evaluate_model_on(m, node.coreset.data),
+            lambda m: node.evaluate_params(get_flat_params(m), node.coreset.data),
             n_probes=4,
         )
         assert alpha > 0

@@ -103,3 +103,41 @@ def test_parameter_count_stable(model):
     # Trunk (MLP): 192->16, 16->16 plus 4 heads 16->8.
     expected = (192 * 16 + 16) + (16 * 16 + 16) + 4 * (16 * 8 + 8)
     assert num_params(model) == expected
+
+
+def _cached_state(model: WaypointNet) -> list:
+    """Everything forward caches for backward, across the whole model."""
+    layers = [*model.trunk.modules, *model.heads]
+    state = [model._features, model._commands]
+    for layer in layers:
+        state.extend(
+            value
+            for name, value in vars(layer).items()
+            if name in ("_input", "_mask", "_shape", "_cols", "_x_shape")
+        )
+    return state
+
+
+@pytest.mark.parametrize("use_conv", [False, True])
+def test_infer_matches_forward_and_caches_nothing(use_conv):
+    model = WaypointNet(BEV_SHAPE, 4, 16, np.random.default_rng(3), use_conv=use_conv)
+    rng = np.random.default_rng(1)
+    # Every command present, one absent, and a float64 input (cast inside).
+    for bev, commands in (
+        batch(rng, 16),
+        (rng.normal(size=(9, *BEV_SHAPE)), np.array([0, 1, 1, 3, 0, 3, 1, 0, 3])),
+    ):
+        inferred = model.infer(bev, commands)
+        assert all(value is None for value in _cached_state(model))
+        with pytest.raises(RuntimeError, match="backward before forward"):
+            model.backward(np.ones_like(inferred))
+        forwarded = WaypointNet(
+            BEV_SHAPE, 4, 16, np.random.default_rng(3), use_conv=use_conv
+        ).forward(bev, commands)
+        assert inferred.dtype == forwarded.dtype
+        assert inferred.tobytes() == forwarded.tobytes()
+
+
+def test_infer_rejects_mismatched_commands(model):
+    with pytest.raises(ValueError):
+        model.infer(np.zeros((3, *BEV_SHAPE), np.float32), np.zeros(2, int))
