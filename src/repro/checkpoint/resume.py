@@ -68,76 +68,22 @@ def load_spec(run_dir: str | Path):
     )
 
 
-def resume_run_dir(
-    run_dir: str | Path,
-    step_workers: int | None = None,
-    overlap_chat: bool | None = None,
-):
+def resume_run_dir(run_dir: str | Path, step_workers: int | None = None):
     """Continue the run stored in ``run_dir`` (the ``repro resume`` verb).
 
     ``step_workers`` overrides the recorded worker count for the
     continuation — results are bit-identical for every value (and the
     run-dir fingerprint excludes it), so a run checkpointed serially can
-    finish sharded and vice versa.  ``overlap_chat`` likewise overrides
-    the recorded overlap setting (None keeps it); note a checkpoint
-    holding in-flight transfers refuses to restore into a trainer built
-    with overlap off.
+    finish sharded and vice versa.
     """
     from repro.parallel.worker import resolve_context
 
-    recorded = load_spec(run_dir)
-    spec = recorded
+    spec = load_spec(run_dir)
     if step_workers is not None:
         overrides = dict(spec.overrides)
         overrides["step_workers"] = int(step_workers)
         spec = replace(spec, overrides=overrides)
-    if overlap_chat is not None and bool(overlap_chat) != bool(
-        spec.overrides.get("overlap_chat", False)
-    ):
-        overrides = dict(spec.overrides)
-        overrides["overlap_chat"] = bool(overlap_chat)
-        spec = replace(spec, overrides=overrides)
-        # The overlap flag changes results, so the continuation is a new
-        # run lineage (its own fingerprint/run dir) seeded from the
-        # recorded lineage's newest checkpoint.
-        return _continue_as(recorded, spec, Path(run_dir).resolve().parent)
     context = resolve_context(spec)
     return run_with_checkpoints(
         context, spec, store=RunStore(Path(run_dir).resolve().parent)
     )
-
-
-def _continue_as(recorded, spec, store_root: Path):
-    """Continue ``recorded``'s newest checkpoint under ``spec``'s config.
-
-    Used when a resume override (the overlap flag) changes the run's
-    identity: the state restores fine across protocols — unless the
-    checkpoint holds in-flight transfers and the new config has overlap
-    off, which the trainer rejects with instructions.
-    """
-    from repro.experiments.runner import RunResult, prepare_trainer
-    from repro.parallel.worker import resolve_context
-
-    store = RunStore(store_root)
-    state = store.latest_checkpoint(recorded)
-    context = resolve_context(spec)
-    if spec.checkpoint_every is None:
-        nodes, trainer = prepare_trainer(context, spec)
-        if state is not None:
-            trainer.restore(state)
-        trainer.run()
-        return RunResult.from_trainer(spec, trainer, nodes)
-    store.ensure_run(spec)
-    policy = CheckpointPolicy(every=float(spec.checkpoint_every))
-    nodes, trainer = prepare_trainer(context, spec)
-    own_state = store.latest_checkpoint(spec)
-    if own_state is not None:
-        state = own_state  # the new lineage already progressed further
-    if state is not None:
-        trainer.restore(state)
-        store.log_event(
-            spec, "resumed", barrier=int(state["barrier"]), time=trainer.sim.now
-        )
-    trainer.run(checkpointer=Checkpointer(spec, store, policy))
-    store.mark_done(spec, trainer.sim.now)
-    return RunResult.from_trainer(spec, trainer, nodes)

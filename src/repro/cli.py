@@ -56,27 +56,6 @@ def _step_workers(args: argparse.Namespace) -> int:
     return resolve_step_workers(args.step_workers)
 
 
-def _add_overlap_arg(parser: argparse.ArgumentParser, default: bool | None = False) -> None:
-    parser.add_argument(
-        "--overlap-chat", action=argparse.BooleanOptionalAction, default=default,
-        help="overlap chat model transfers with training: chats plan "
-        "synchronously, then ship models in the background and commit "
-        "them atomically when the transfer resolves (default off; the "
-        "synchronous protocol stays the golden-pinned reference)",
-    )
-
-
-def _run_overrides(args: argparse.Namespace) -> dict:
-    """Config overrides shared by the run/trace commands."""
-    workers = _step_workers(args)
-    overrides: dict = {}
-    if workers != 1:
-        overrides["step_workers"] = workers
-    if getattr(args, "overlap_chat", False):
-        overrides["overlap_chat"] = True
-    return overrides
-
-
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     """Flags shared by every single-training-run command (run, trace)."""
     parser.add_argument("--method", default="LbChat")
@@ -98,7 +77,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     )
     _add_jobs_arg(parser)
     _add_step_workers_arg(parser)
-    _add_overlap_arg(parser)
 
 
 def _cmd_scales(args: argparse.Namespace) -> int:
@@ -113,7 +91,7 @@ def _cmd_scales(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import RunSpec
+    from repro.experiments.runner import RunSpec, step_worker_overrides
     from repro.parallel import run_specs
 
     scale = get_scale(args.scale)
@@ -123,7 +101,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         wireless=args.wireless,
         seed=args.seed,
         coreset_size=args.coreset_size,
-        overrides=_run_overrides(args),
+        overrides=step_worker_overrides(_step_workers(args)),
         use_cache=args.cache,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
@@ -156,9 +134,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
     print(f"Resuming run from {args.run_dir}...")
     workers = None if args.step_workers is None else _step_workers(args)
-    result = resume_run_dir(
-        args.run_dir, step_workers=workers, overlap_chat=args.overlap_chat
-    )
+    result = resume_run_dir(args.run_dir, step_workers=workers)
     _render_result(args, result)
     return 0
 
@@ -177,7 +153,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     print(f"Reproducing Table {args.number} at scale {args.scale} "
           "(trains every required method; this takes a while)...")
     result = fn(args.scale, seed=args.seed, jobs=args.jobs,
-                step_workers=_step_workers(args), overlap_chat=args.overlap_chat)
+                step_workers=_step_workers(args))
     print(result.render())
     if result.receive_rates:
         print("\nreceive rates: " + ", ".join(
@@ -192,12 +168,12 @@ def _cmd_fig(args: argparse.Namespace) -> int:
     if args.which in ("2a", "2b"):
         result = figures.fig2(
             args.scale, wireless=args.which == "2b", seed=args.seed, jobs=args.jobs,
-            step_workers=_step_workers(args), overlap_chat=args.overlap_chat,
+            step_workers=_step_workers(args),
         )
     else:
         result = figures.fig3(
             args.scale, seed=args.seed, jobs=args.jobs,
-            step_workers=_step_workers(args), overlap_chat=args.overlap_chat,
+            step_workers=_step_workers(args),
         )
     print(result.render())
     return 0
@@ -208,7 +184,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
     rates = receive_rates(
         args.scale, seed=args.seed, jobs=args.jobs,
-        step_workers=_step_workers(args), overlap_chat=args.overlap_chat,
+        step_workers=_step_workers(args),
     )
     print("Successful model receiving rate (w wireless loss)")
     for method, rate in rates.items():
@@ -258,7 +234,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import RunSpec
+    from repro.experiments.runner import RunSpec, step_worker_overrides
     from repro.parallel import run_specs
     from repro.telemetry import TelemetrySession, export_jsonl, report_session
 
@@ -268,7 +244,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         scale=scale,
         wireless=args.wireless,
         seed=args.seed,
-        overrides=_run_overrides(args),
+        overrides=step_worker_overrides(_step_workers(args)),
         use_cache=args.cache,
     )
     print(f"Tracing {args.method} (scale={args.scale}, wireless={args.wireless})...")
@@ -354,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resume", help="continue a checkpointed run from its run directory")
     p.add_argument("run_dir", help="checkpoint run directory (contains run.json)")
     _add_step_workers_arg(p, default=None)
-    _add_overlap_arg(p, default=None)
     p.add_argument("--out", default=None, help="archive run results to JSON")
     p.add_argument("--save-model", default=None, help="write a model checkpoint (.npz)")
     p.set_defaults(fn=_cmd_resume)
@@ -365,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     _add_jobs_arg(p)
     _add_step_workers_arg(p)
-    _add_overlap_arg(p)
     p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("fig", help="reproduce a paper figure")
@@ -374,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     _add_jobs_arg(p)
     _add_step_workers_arg(p)
-    _add_overlap_arg(p)
     p.set_defaults(fn=_cmd_fig)
 
     p = sub.add_parser("rates", help="§IV-C receive-rate comparison")
@@ -382,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     _add_jobs_arg(p)
     _add_step_workers_arg(p)
-    _add_overlap_arg(p)
     p.set_defaults(fn=_cmd_rates)
 
     p = sub.add_parser("scenario", help="run stress scenarios on a checkpoint")

@@ -11,20 +11,16 @@ of the compressed model relative to the original.  ``psi = 0`` means
 
 from repro.compression.topk import (
     CompressedModel,
-    TopkPlan,
     compress_topk,
     decompress,
     topk_for_psi,
-    topk_plan,
 )
 from repro.compression.quantize import compress_quantize
 
 __all__ = [
     "CompressedModel",
-    "TopkPlan",
     "compress_topk",
     "compress_quantize",
     "decompress",
     "topk_for_psi",
-    "topk_plan",
 ]

@@ -18,8 +18,6 @@ __all__ = [
     "CompressedModel",
     "topk_for_psi",
     "compress_topk",
-    "TopkPlan",
-    "topk_plan",
     "decompress",
 ]
 
@@ -111,62 +109,6 @@ def compress_topk(flat: np.ndarray, psi: float, nominal_size_bytes: int) -> Comp
         psi=float(achieved_psi),
         nominal_bytes=int(round(achieved_psi * nominal_size_bytes)),
     )
-
-
-@dataclass(frozen=True)
-class TopkPlan:
-    """A reusable magnitude ordering for compressing one parameter vector.
-
-    Sampling several compression levels of the *same* parameters (the
-    overlapped chat's batched psi probe fills ~7 levels per chat, then
-    compresses the payload) only needs one full magnitude sort; each
-    level is then an O(k) slice instead of a fresh O(n) argpartition of
-    the whole vector.
-    """
-
-    flat: np.ndarray  # float32 parameter snapshot
-    order: np.ndarray  # argsort of |flat|, ascending magnitude
-    nominal_size_bytes: int
-
-    def compress(self, psi: float) -> CompressedModel:
-        """The plan's parameters sparsified to relative size ``psi``."""
-        n = self.flat.size
-        if psi >= 1.0:
-            return CompressedModel(
-                indices=np.arange(n, dtype=np.int64),
-                values=self.flat.copy(),
-                n_total=n,
-                psi=1.0,
-                nominal_bytes=self.nominal_size_bytes,
-            )
-        k = topk_for_psi(n, psi)
-        if k == 0:
-            return CompressedModel(
-                indices=np.zeros(0, dtype=np.int64),
-                values=np.zeros(0, dtype=np.float32),
-                n_total=n,
-                psi=0.0,
-                nominal_bytes=0,
-            )
-        idx = np.sort(self.order[n - k :])
-        achieved_psi = k * _BYTES_PER_PAIR / (n * _BYTES_PER_VALUE)
-        return CompressedModel(
-            indices=idx.astype(np.int64),
-            values=self.flat[idx].copy(),
-            n_total=n,
-            psi=float(achieved_psi),
-            nominal_bytes=int(round(achieved_psi * self.nominal_size_bytes)),
-        )
-
-
-def topk_plan(flat: np.ndarray, nominal_size_bytes: int) -> TopkPlan:
-    """Sort ``flat`` by magnitude once, for repeated :meth:`TopkPlan.compress`."""
-    flat = np.asarray(flat, dtype=np.float32)
-    # The default (unstable) argsort decides ties at a cut.  The psi-map
-    # fit selects levels by magnitude thresholds instead and falls back
-    # to this same call when a cut is tied, so both agree on every level.
-    order = np.argsort(np.abs(flat))
-    return TopkPlan(flat=flat, order=order, nominal_size_bytes=nominal_size_bytes)
 
 
 def decompress(compressed: CompressedModel, fill: np.ndarray | None = None) -> np.ndarray:

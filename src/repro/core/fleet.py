@@ -137,13 +137,6 @@ class FleetEngine:
             )
         self._pending: np.ndarray | None = None
         self._consumed = np.ones(len(nodes), dtype=bool)
-        # Plain-Python step accounting (cheap enough for the hot loop):
-        # how many per-row training events ran, and at what batched
-        # width each ran.  ``mean_step_width`` == n_nodes when every
-        # step went through the dense bank, 1.0 when everything fell
-        # back to detached per-node stepping.
-        self.step_events = 0
-        self.step_width_sum = 0
         self._batch_bufs: tuple[np.ndarray, ...] | None = None
         # The worker pool spawns lazily at the first full-size batched
         # step (the stacked batch shapes are only known then).
@@ -152,13 +145,6 @@ class FleetEngine:
         self._batch_arena: ShmArena | None = None
         self._shm_batch: tuple[np.ndarray, ...] | None = None
         self._shm_losses: np.ndarray | None = None
-
-    @property
-    def mean_step_width(self) -> float:
-        """Mean batched width per training event (0.0 before any step)."""
-        if self.step_events == 0:
-            return 0.0
-        return self.step_width_sum / self.step_events
 
     @classmethod
     def try_build(
@@ -207,13 +193,9 @@ class FleetEngine:
         if len(sizes) > 1:
             # Ragged batches (a dataset still smaller than its batch
             # size) cannot stack; train those rows individually.
-            self.step_events += len(nodes)
-            self.step_width_sum += len(nodes)  # width 1 each
             return np.array(
                 [self._train_detached(node, s) for node, s in zip(nodes, samples)]
             )
-        self.step_events += len(nodes)
-        self.step_width_sum += len(nodes) * len(nodes)
         b = samples[0][0].shape[0]
         if not self._pool_failed and b == nodes[0].config.batch_size:
             losses = self._pool_step(samples, b)

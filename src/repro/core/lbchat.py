@@ -74,10 +74,6 @@ class LbChatTrainer(TrainerBase):
         from repro.core.chatlog import ChatLog
 
         self.chat_log = ChatLog(max_records=self.config.chat_log_budget)
-        if self.config.overlap_chat:
-            from repro.core.overlap import TransferScheduler
-
-            self.overlap = TransferScheduler(self)
 
     def on_scan(self, i: int) -> None:
         """Pick the best idle neighbor (Eq. 5) and run a chat."""
@@ -141,9 +137,6 @@ class LbChatTrainer(TrainerBase):
             time_budget = max(
                 self.config.time_budget / n_available, self.config.min_time_budget
             )
-        if self.overlap is not None:
-            self._chat_overlapped(i, j, estimate, contact_deadline, time_budget)
-            return
         outcome = pairwise_chat(
             self.nodes[i],
             self.nodes[j],
@@ -164,20 +157,11 @@ class LbChatTrainer(TrainerBase):
         self.note_chat(i, j)
         self.note_transfer_window(i, j, outcome.duration)
         self.counters.add("chats")
-        self._account_chat(now, i, j, outcome)
-
-    def _account_chat(self, started_at: float, i: int, j: int, outcome) -> None:
-        """Log/counter bookkeeping for a resolved chat outcome.
-
-        The synchronous path calls this right after the chat returns; the
-        overlapped path defers it to the commit barrier (or the plan end
-        for chats that never launched a transfer).
-        """
         from repro.core.chatlog import ChatRecord
 
         self.chat_log.append(
             ChatRecord.from_outcome(
-                started_at, self.nodes[i].node_id, self.nodes[j].node_id, outcome
+                now, self.nodes[i].node_id, self.nodes[j].node_id, outcome
             )
         )
         self.counters.add("chat_seconds", outcome.duration)
@@ -190,60 +174,6 @@ class LbChatTrainer(TrainerBase):
             self.counters.add(
                 "frames_absorbed", outcome.absorbed_by_i + outcome.absorbed_by_j
             )
-
-    # -- overlapped chats (plan now, transfer in the background) -------------------
-
-    def _chat_overlapped(
-        self, i: int, j: int, estimate, contact_deadline: float, time_budget: float
-    ) -> None:
-        """Plan the chat synchronously; ship models as a background flight.
-
-        Radios are occupied only for the plan phase — the transfer window
-        is covered by the :class:`~repro.core.ledger.TransferLedger`'s
-        in-flight marks, which block chats without blocking training.
-        """
-        from repro.core.overlap import plan_chat
-        from repro.telemetry import hooks as telemetry
-
-        now = self.sim.now
-        plan = plan_chat(
-            self.nodes[i],
-            self.nodes[j],
-            i,
-            j,
-            self.pair_distance_fn(i, j),
-            start_time=now,
-            contact_deadline=contact_deadline,
-            wireless=self.wireless,
-            channel=self.config.channel,
-            time_budget=time_budget,
-            lambda_c=self.config.lambda_c,
-            equal_compression=self.config.equal_compression,
-            mean_aggregation=self.config.mean_aggregation,
-            coreset_only=self.config.coreset_only,
-            expected_goodput=estimate.mean_goodput_factor,
-            prober=self.overlap.prober_for(self.nodes[i]),
-        )
-        self.occupy(i, plan.elapsed)
-        self.occupy(j, plan.elapsed)
-        self.note_chat(i, j)
-        self.counters.add("chats")
-        if plan.flight is None:
-            # The chat resolved in planning (abort, SCO, psi = 0):
-            # finalize immediately, as the synchronous path would.
-            self.note_transfer_window(i, j, plan.outcome.duration)
-            telemetry.on_overlap_outcome(
-                now, now + plan.outcome.duration, plan.outcome,
-                committed=not plan.outcome.aborted,
-            )
-            self._account_chat(now, i, j, plan.outcome)
-        else:
-            self.note_transfer_window(i, j, plan.flight.model_deadline - now)
-            self.overlap.launch(plan.flight)
-
-    def on_overlap_commit(self, flight) -> None:
-        """Scheduler callback: a flight committed (or aborted) — account it."""
-        self._account_chat(flight.plan_start, flight.i, flight.j, flight.outcome)
 
     # -- checkpointing ------------------------------------------------------------
 

@@ -107,13 +107,13 @@ def build_psi_map(
 def _topk_levels(flat: np.ndarray):
     """A writer ``(psi, buf)`` of ``flat`` top-k sparsified to ``psi``.
 
-    Each level is bit-identical to
-    ``decompress(topk_plan(flat, ...).compress(psi))``.
-    One ascending sort of the magnitudes ``s`` gives every cut: level
-    ``k`` keeps the entries with magnitude ``>= s[n-k]``, which is
-    exactly the top-k set when ``s[n-k-1] < s[n-k]``.  A tied cut, or a
-    non-finite parameter, falls back to the ``argsort`` order, so tie
-    resolution is the plan's.  Unsent entries are ``+0.0``.
+    Each level keeps the ``k`` entries ranked last by the default
+    unstable ``np.argsort(|flat|)``, decompressed: unsent entries are
+    ``+0.0``.  One ascending sort of the magnitudes ``s`` gives every
+    cut: level ``k`` keeps the entries with magnitude ``>= s[n-k]``,
+    which is exactly that set when ``s[n-k-1] < s[n-k]``.  A tied cut,
+    or a non-finite parameter, falls back to the ``argsort`` itself, so
+    ties resolve as it resolves them.
     """
     n = flat.size
     magnitude = np.abs(flat)

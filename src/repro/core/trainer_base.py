@@ -13,7 +13,8 @@ Timing conventions:
 * each local training iteration occupies ``train_interval`` simulated
   seconds (a scaling knob standing in for GPU minibatch time — the paper
   trains far larger models on an RTX 2060);
-* a vehicle is *busy* while chatting and trains no iterations then;
+* a vehicle is *busy* while chatting: it starts or accepts no other
+  chat then, but keeps training (the radio never gates a train step);
 * validation loss of every vehicle is recorded every
   ``record_interval`` simulated seconds.
 """
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.ledger import TransferLedger
 from repro.core.node import VehicleNode
 from repro.engine import (
     CounterSet,
@@ -94,13 +94,6 @@ class TrainerConfig:
     #: Purely an execution strategy: results are bit-identical for every
     #: value.  1 = serial; ignored without :attr:`fleet_batching`.
     step_workers: int = 1
-    #: Overlap chat model transfers with training (:mod:`repro.core.overlap`):
-    #: the plan phase (handshake, selection, psi planning) stays synchronous
-    #: at contact start, the model byte-transfer becomes a background
-    #: activity on the virtual clock, and the exchanged state is absorbed
-    #: at a commit barrier when the transfer resolves.  Off by default —
-    #: the synchronous protocol is the golden-pinned reference.
-    overlap_chat: bool = False
 
 
 class TrainerBase:
@@ -130,11 +123,8 @@ class TrainerBase:
         self.loss_curve = TimeSeriesRecorder()
         self.receive_rate = ReceiveRateRecorder()
         self.counters = CounterSet()
-        self.ledger = TransferLedger(len(nodes))
-        #: Async transfer scheduler (set by subclasses when
-        #: ``config.overlap_chat`` is on); ``None`` keeps every chat
-        #: synchronous.
-        self.overlap = None
+        #: Per-vehicle radio occupancy horizon (absolute virtual time).
+        self.busy_until = np.zeros(len(nodes))
         from repro.core.chat import ChatBytesMemo
 
         self._chat_bytes_memo = ChatBytesMemo()
@@ -170,22 +160,17 @@ class TrainerBase:
 
     # -- helpers subclasses use ------------------------------------------------
 
-    @property
-    def busy_until(self) -> np.ndarray:
-        """Radio occupancy horizons (owned by the :class:`TransferLedger`)."""
-        return self.ledger.busy_until
-
-    @busy_until.setter
-    def busy_until(self, value) -> None:
-        self.ledger.busy_until = np.asarray(value, dtype=float)
-
     def is_idle(self, i: int) -> bool:
         """Whether vehicle ``i`` is free to start a chat."""
-        return self.ledger.is_idle(i, self.sim.now)
+        return self.sim.now >= self.busy_until[i]
 
     def occupy(self, i: int, duration: float) -> None:
-        """Mark vehicle ``i`` busy for ``duration`` from now."""
-        self.ledger.occupy(i, self.sim.now, duration)
+        """Mark vehicle ``i`` busy for ``duration`` from now.
+
+        Overlapping windows merge to the later end: a shorter occupy
+        landing inside an active window never shrinks it.
+        """
+        self.busy_until[i] = max(self.busy_until[i], self.sim.now + duration)
 
     def estimate_chat_bytes(self, i: int, j: int, psi_total: float) -> float:
         """Memoized :func:`~repro.core.chat.estimated_chat_bytes` for a pair.
@@ -362,9 +347,6 @@ class TrainerBase:
         )
         for armed_at, gen in self.extra_activities(resume):
             activities.append((armed_at, len(activities), gen))
-        if self.overlap is not None:
-            for armed_at, gen in self.overlap.activities(resume):
-                activities.append((armed_at, len(activities), gen))
         if resume:
             activities.sort(key=lambda item: (item[0], item[1]))
         for _, _, gen in activities:
@@ -414,8 +396,6 @@ class TrainerBase:
             "counters": self.counters.snapshot(),
             "extra": self.extra_state(),
         }
-        if self.overlap is not None:
-            state["overlap"] = self.overlap.snapshot()
         session = telemetry.active()
         state["telemetry"] = session.registry.state() if session is not None else None
         return state
@@ -441,14 +421,6 @@ class TrainerBase:
         self.counters.restore(state["counters"])
         self.reseed_streams(barrier)
         self.restore_extra(state["extra"])
-        overlap_state = state.get("overlap")
-        if self.overlap is not None:
-            self.overlap.restore(overlap_state)
-        elif overlap_state is not None and overlap_state.get("flights"):
-            raise ValueError(
-                "checkpoint holds in-flight overlap transfers but this trainer "
-                "was built with overlap_chat off; resume with --overlap-chat"
-            )
         session = telemetry.active()
         if session is not None and state.get("telemetry") is not None:
             session.registry.merge_state(state["telemetry"])

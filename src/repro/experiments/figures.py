@@ -13,22 +13,17 @@ import numpy as np
 
 from repro.experiments.configs import ExperimentScale, get_scale
 from repro.experiments.render import render_curves
-from repro.experiments.runner import RunSpec, build_context, register_context
+from repro.experiments.runner import (
+    RunSpec,
+    build_context,
+    register_context,
+    step_worker_overrides,
+)
 from repro.parallel import run_specs
 
 __all__ = ["FigureResult", "fig2", "fig3", "receive_rates"]
 
 FIG2_METHODS = ("ProxSkip", "RSU-L", "DFL-DDS", "DP", "LbChat")
-
-
-def _overrides(step_workers: int, overlap_chat: bool = False) -> dict:
-    """Trainer-config overrides for the shared perf knobs (defaults = none)."""
-    overrides: dict = {}
-    if step_workers != 1:
-        overrides["step_workers"] = int(step_workers)
-    if overlap_chat:
-        overrides["overlap_chat"] = True
-    return overrides
 
 
 @dataclass
@@ -65,7 +60,6 @@ def _method_curves(
     n_points: int,
     jobs: int,
     step_workers: int = 1,
-    overlap_chat: bool = False,
 ) -> dict[str, np.ndarray]:
     """One loss curve per method, trained serially or across workers."""
     context = build_context(scale)
@@ -73,7 +67,7 @@ def _method_curves(
     specs = [
         RunSpec.for_context(
             context, method, wireless=wireless, seed=seed,
-            overrides=_overrides(step_workers, overlap_chat),
+            overrides=step_worker_overrides(step_workers),
         )
         for method in methods
     ]
@@ -91,14 +85,12 @@ def fig2(
     n_points: int = 21,
     jobs: int = 1,
     step_workers: int = 1,
-    overlap_chat: bool = False,
 ) -> FigureResult:
     """Fig. 2(a) (wireless=False) / Fig. 2(b) (wireless=True)."""
     scale = get_scale(scale) if isinstance(scale, str) else scale
     grid = np.linspace(0.0, scale.train_duration, n_points)
     curves = _method_curves(
-        FIG2_METHODS, scale, wireless, seed, n_points, jobs, step_workers,
-        overlap_chat,
+        FIG2_METHODS, scale, wireless, seed, n_points, jobs, step_workers
     )
     label = "w" if wireless else "w/o"
     return FigureResult(
@@ -115,14 +107,12 @@ def fig3(
     n_points: int = 21,
     jobs: int = 1,
     step_workers: int = 1,
-    overlap_chat: bool = False,
 ) -> FigureResult:
     """Fig. 3: LbChat vs SCO convergence speed."""
     scale = get_scale(scale) if isinstance(scale, str) else scale
     grid = np.linspace(0.0, scale.train_duration, n_points)
     curves = _method_curves(
-        ("LbChat", "SCO"), scale, wireless, seed, n_points, jobs, step_workers,
-        overlap_chat,
+        ("LbChat", "SCO"), scale, wireless, seed, n_points, jobs, step_workers
     )
     return FigureResult(
         title="Fig. 3: training loss vs. time (LbChat & SCO)", grid=grid, curves=curves
@@ -131,7 +121,7 @@ def fig3(
 
 def receive_rates(
     scale: ExperimentScale | str = "ci", seed: int = 1, jobs: int = 1,
-    step_workers: int = 1, overlap_chat: bool = False,
+    step_workers: int = 1,
 ) -> dict[str, float]:
     """§IV-C: successful model receiving rate per method, under loss."""
     scale = get_scale(scale) if isinstance(scale, str) else scale
@@ -140,7 +130,7 @@ def receive_rates(
     specs = [
         RunSpec.for_context(
             context, method, wireless=True, seed=seed,
-            overrides=_overrides(step_workers, overlap_chat),
+            overrides=step_worker_overrides(step_workers),
         )
         for method in FIG2_METHODS
     ]

@@ -55,6 +55,7 @@ __all__ = [
     "ExperimentContext",
     "RunSpec",
     "RunResult",
+    "step_worker_overrides",
     "METHOD_NAMES",
     "build_context",
     "register_context",
@@ -147,6 +148,17 @@ class RunSpec:
         """Short human-readable job label (logs, telemetry, progress)."""
         loss = "w" if self.wireless else "w/o"
         return f"{self.method} @ {self.scale.name} seed={self.seed} ({loss} loss)"
+
+
+def step_worker_overrides(step_workers: int) -> dict:
+    """:attr:`RunSpec.overrides` for a step-worker count.
+
+    The serial default (1) gives an empty mapping, so a default spec
+    carries no overrides at all.
+    """
+    if step_workers != 1:
+        return {"step_workers": int(step_workers)}
+    return {}
 
 
 @dataclass

@@ -17,6 +17,7 @@ from repro.experiments.runner import (
     build_context,
     online_evaluate,
     register_context,
+    step_worker_overrides,
 )
 from repro.parallel import run_specs
 from repro.sim.evaluate import DrivingCondition
@@ -34,16 +35,6 @@ __all__ = [
 
 CONDITIONS = [cond.value for cond in DrivingCondition]
 MAIN_METHODS = ("ProxSkip", "RSU-L", "DFL-DDS", "DP", "LbChat")
-
-
-def _overrides(step_workers: int, overlap_chat: bool = False) -> dict:
-    """Trainer-config overrides for the shared perf knobs (defaults = none)."""
-    overrides: dict = {}
-    if step_workers != 1:
-        overrides["step_workers"] = int(step_workers)
-    if overlap_chat:
-        overrides["overlap_chat"] = True
-    return overrides
 
 
 @dataclass
@@ -97,7 +88,6 @@ def success_table(
     coreset_sizes: dict[str, int] | None = None,
     jobs: int = 1,
     step_workers: int = 1,
-    overlap_chat: bool = False,
 ) -> TableResult:
     """Train ``methods`` and online-evaluate each into one table.
 
@@ -117,7 +107,7 @@ def success_table(
             RunSpec.for_context(
                 context, method, wireless=wireless, seed=seed,
                 coreset_size=coreset_size,
-                overrides=_overrides(step_workers, overlap_chat),
+                overrides=step_worker_overrides(step_workers),
             )
         )
     return _assemble(title, list(methods), specs, context, seed, jobs)
@@ -125,7 +115,7 @@ def success_table(
 
 def table2(
     scale: ExperimentScale | str = "ci", seed: int = 1, jobs: int = 1,
-    step_workers: int = 1, overlap_chat: bool = False,
+    step_workers: int = 1,
 ) -> TableResult:
     """Table II: success rate without wireless loss, all five methods."""
     scale = get_scale(scale) if isinstance(scale, str) else scale
@@ -138,13 +128,12 @@ def table2(
         seed=seed,
         jobs=jobs,
         step_workers=step_workers,
-        overlap_chat=overlap_chat,
     )
 
 
 def table3(
     scale: ExperimentScale | str = "ci", seed: int = 1, jobs: int = 1,
-    step_workers: int = 1, overlap_chat: bool = False,
+    step_workers: int = 1,
 ) -> TableResult:
     """Table III: success rate with wireless loss, all five methods."""
     scale = get_scale(scale) if isinstance(scale, str) else scale
@@ -157,7 +146,6 @@ def table3(
         seed=seed,
         jobs=jobs,
         step_workers=step_workers,
-        overlap_chat=overlap_chat,
     )
 
 
@@ -167,7 +155,6 @@ def table4(
     sizes: tuple[int, int] | None = None,
     jobs: int = 1,
     step_workers: int = 1,
-    overlap_chat: bool = False,
 ) -> TableResult:
     """Table IV: LbChat with 10x and 1/10x the default coreset size.
 
@@ -181,7 +168,7 @@ def table4(
     specs = [
         RunSpec.for_context(
             context, "LbChat", wireless=wireless, seed=seed, coreset_size=size,
-            overrides=_overrides(step_workers, overlap_chat),
+            overrides=step_worker_overrides(step_workers),
         )
         for size, wireless in ((large, False), (small, False), (large, True), (small, True))
     ]
@@ -197,7 +184,7 @@ def table4(
 
 def _ablation_table(
     title: str, method: str, scale: ExperimentScale | str, seed: int,
-    jobs: int = 1, step_workers: int = 1, overlap_chat: bool = False,
+    jobs: int = 1, step_workers: int = 1,
 ) -> TableResult:
     scale = get_scale(scale) if isinstance(scale, str) else scale
     context = build_context(scale)
@@ -205,7 +192,7 @@ def _ablation_table(
     specs = [
         RunSpec.for_context(
             context, method, wireless=wireless, seed=seed,
-            overrides=_overrides(step_workers, overlap_chat),
+            overrides=step_worker_overrides(step_workers),
         )
         for wireless in (False, True)
     ]
@@ -214,7 +201,7 @@ def _ablation_table(
 
 def table5(
     scale: ExperimentScale | str = "ci", seed: int = 1, jobs: int = 1,
-    step_workers: int = 1, overlap_chat: bool = False,
+    step_workers: int = 1,
 ) -> TableResult:
     """Table V: LbChat with equal compression ratios (Eq. 7 masked)."""
     return _ablation_table(
@@ -224,13 +211,12 @@ def table5(
         seed,
         jobs,
         step_workers,
-        overlap_chat,
     )
 
 
 def table6(
     scale: ExperimentScale | str = "ci", seed: int = 1, jobs: int = 1,
-    step_workers: int = 1, overlap_chat: bool = False,
+    step_workers: int = 1,
 ) -> TableResult:
     """Table VI: LbChat with plain averaging (Eq. 8 masked)."""
     return _ablation_table(
@@ -240,13 +226,12 @@ def table6(
         seed,
         jobs,
         step_workers,
-        overlap_chat,
     )
 
 
 def table7(
     scale: ExperimentScale | str = "ci", seed: int = 1, jobs: int = 1,
-    step_workers: int = 1, overlap_chat: bool = False,
+    step_workers: int = 1,
 ) -> TableResult:
     """Table VII: sharing coresets only (SCO)."""
     return _ablation_table(
@@ -256,5 +241,4 @@ def table7(
         seed,
         jobs,
         step_workers,
-        overlap_chat,
     )

@@ -22,7 +22,6 @@ from repro.telemetry import hooks as telemetry
 __all__ = [
     "ChannelConfig",
     "TransferResult",
-    "TransferSession",
     "simulate_transfer",
     "transfer_time_lossless",
 ]
@@ -63,122 +62,6 @@ def transfer_time_lossless(n_bytes: float, config: ChannelConfig) -> float:
     return n_packets * config.packet_bytes / config.bytes_per_second
 
 
-class TransferSession:
-    """A resumable in-progress transfer, advanced one chunk at a time.
-
-    The per-chunk arithmetic is the exact loop body that
-    :func:`simulate_transfer` used to run inline, so driving a session to
-    resolution yields bit-identical results.  The session form exists so
-    a transfer can be advanced in segments on the virtual clock
-    (overlapped chats) and snapshotted mid-flight between segments.
-    """
-
-    __slots__ = (
-        "n_bytes",
-        "config",
-        "start_time",
-        "remaining",
-        "now",
-        "delivered",
-        "resolved",
-        "completed",
-        "elapsed",
-        "finish_time",
-        "abort_cause",
-    )
-
-    def __init__(self, n_bytes: float, config: ChannelConfig, start_time: float):
-        self.n_bytes = float(n_bytes)
-        self.config = config
-        self.start_time = start_time
-        self.remaining = float(n_bytes)
-        self.now = start_time
-        self.delivered = 0.0
-        self.resolved = n_bytes <= 0
-        self.completed = n_bytes <= 0
-        self.elapsed = 0.0
-        self.finish_time = start_time if n_bytes <= 0 else None
-        self.abort_cause: str | None = None
-
-    def step(
-        self,
-        distance_fn: Callable[[float], float],
-        wireless: WirelessModel,
-        deadline: float,
-    ) -> float | None:
-        """Advance by at most one chunk.
-
-        Returns the absolute time at which this step's outcome takes
-        effect — the next chunk boundary, or the completion instant —
-        or ``None`` when the transfer resolved at the current time
-        (deadline/range/rate cut, or already resolved).
-        """
-        if self.resolved:
-            return None
-        if not (self.now < deadline):
-            self.resolved = True
-            self.abort_cause = "deadline"
-            self.finish_time = self.now
-            return None
-        distance = distance_fn(self.now)
-        if not wireless.in_range(distance):
-            self.resolved = True
-            self.abort_cause = "range"
-            self.finish_time = self.now
-            return None
-        rate = self.config.bytes_per_second * wireless.goodput_factor(distance)
-        if rate <= 0:
-            self.resolved = True
-            self.abort_cause = "rate"
-            self.finish_time = self.now
-            return None
-        chunk = min(self.config.chunk_seconds, deadline - self.now)
-        can_send = rate * chunk
-        if can_send >= self.remaining:
-            self.elapsed = self.now - self.start_time + self.remaining / rate
-            self.resolved = True
-            self.completed = True
-            self.finish_time = self.start_time + self.elapsed
-            return self.finish_time
-        self.remaining -= can_send
-        self.delivered += can_send
-        self.now += chunk
-        return self.now
-
-    def result(self) -> TransferResult:
-        """The :class:`TransferResult` for a resolved (or cut) session."""
-        if self.completed:
-            return TransferResult(True, self.elapsed, self.n_bytes)
-        return TransferResult(False, self.now - self.start_time, self.delivered)
-
-    def snapshot(self) -> dict:
-        return {
-            "n_bytes": self.n_bytes,
-            "start_time": self.start_time,
-            "remaining": self.remaining,
-            "now": self.now,
-            "delivered": self.delivered,
-            "resolved": self.resolved,
-            "completed": self.completed,
-            "elapsed": self.elapsed,
-            "finish_time": self.finish_time,
-            "abort_cause": self.abort_cause,
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: dict, config: ChannelConfig) -> "TransferSession":
-        session = cls(state["n_bytes"], config, state["start_time"])
-        session.remaining = state["remaining"]
-        session.now = state["now"]
-        session.delivered = state["delivered"]
-        session.resolved = state["resolved"]
-        session.completed = state["completed"]
-        session.elapsed = state["elapsed"]
-        session.finish_time = state["finish_time"]
-        session.abort_cause = state["abort_cause"]
-        return session
-
-
 def simulate_transfer(
     n_bytes: float,
     distance_fn: Callable[[float], float],
@@ -208,10 +91,27 @@ def simulate_transfer(
     """
     if n_bytes <= 0:
         return TransferResult(True, 0.0, 0.0)
-    session = TransferSession(n_bytes, config, start_time)
-    while session.step(distance_fn, wireless, deadline) is not None:
-        if session.resolved:
+    remaining = float(n_bytes)
+    now = start_time
+    delivered = 0.0
+    result = None
+    while now < deadline:
+        distance = distance_fn(now)
+        if not wireless.in_range(distance):
             break
-    result = session.result()
+        rate = config.bytes_per_second * wireless.goodput_factor(distance)
+        if rate <= 0:
+            break
+        chunk = min(config.chunk_seconds, deadline - now)
+        can_send = rate * chunk
+        if can_send >= remaining:
+            elapsed = now - start_time + remaining / rate
+            result = TransferResult(True, elapsed, float(n_bytes))
+            break
+        remaining -= can_send
+        delivered += can_send
+        now += chunk
+    if result is None:
+        result = TransferResult(False, now - start_time, delivered)
     telemetry.on_transfer(n_bytes, result, start_time)
     return result

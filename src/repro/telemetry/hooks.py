@@ -31,7 +31,6 @@ __all__ = [
     "on_transfer",
     "on_chat_stage",
     "on_chat_outcome",
-    "on_overlap_outcome",
     "on_model_reception",
     "on_coreset_refresh",
     "on_coreset_merge",
@@ -174,55 +173,6 @@ def on_chat_outcome(start_time: float, outcome) -> None:
         j_received_model=outcome.j_received_model,
         absorbed=outcome.absorbed_by_i + outcome.absorbed_by_j,
     )
-    s.registry.counter("chat.count").inc()
-    if outcome.aborted:
-        s.registry.counter(f"chat.aborted.{outcome.aborted}").inc()
-    else:
-        s.registry.counter("chat.completed").inc()
-    s.registry.histogram("chat.duration_s").observe(outcome.duration)
-    s.registry.counter("chat.frames_absorbed").inc(
-        outcome.absorbed_by_i + outcome.absorbed_by_j
-    )
-    for psi in (psi_i, psi_j):
-        if psi is not None:
-            s.registry.histogram("chat.psi").observe(psi)
-    for attempted, received in (
-        (outcome.i_attempted, outcome.i_received_model),
-        (outcome.j_attempted, outcome.j_received_model),
-    ):
-        if attempted:
-            on_model_reception(received)
-
-
-def on_overlap_outcome(start_time: float, end_time: float, outcome, committed: bool) -> None:
-    """An overlapped chat resolved (plan-phase end or transfer commit).
-
-    Overlapped chats cannot use the tracer's span stack — several can be
-    in flight at once — so the chat is recorded as one event carrying
-    explicit start/end times, with the same counter accounting as
-    :func:`on_chat_outcome` plus the overlap commit/abort tallies.
-    """
-    s = _ACTIVE
-    if s is None:
-        return
-    status = "aborted" if outcome.aborted else "ok"
-    psi_i = outcome.psi.psi_i if outcome.psi is not None else None
-    psi_j = outcome.psi.psi_j if outcome.psi is not None else None
-    s.tracer.event(
-        "overlap.chat",
-        end_time,
-        start=start_time,
-        status=status,
-        aborted=outcome.aborted,
-        committed=bool(committed),
-        coresets_exchanged=outcome.coresets_exchanged,
-        psi_i=psi_i,
-        psi_j=psi_j,
-        i_received_model=outcome.i_received_model,
-        j_received_model=outcome.j_received_model,
-        absorbed=outcome.absorbed_by_i + outcome.absorbed_by_j,
-    )
-    s.registry.counter("overlap.commits" if committed else "overlap.aborts").inc()
     s.registry.counter("chat.count").inc()
     if outcome.aborted:
         s.registry.counter(f"chat.aborted.{outcome.aborted}").inc()

@@ -74,7 +74,7 @@ def test_cmd_run_with_stubs(monkeypatch, capsys, tmp_path):
 def test_cmd_rates_with_stubs(monkeypatch, capsys):
     monkeypatch.setattr(
         "repro.experiments.figures.receive_rates",
-        lambda scale, seed, jobs, step_workers=1, overlap_chat=False: {
+        lambda scale, seed, jobs, step_workers=1: {
             "LbChat": 0.77, "DP": 0.47,
         },
     )
@@ -93,7 +93,7 @@ def test_cmd_fig_with_stubs(monkeypatch, capsys):
     )
     monkeypatch.setattr(
         "repro.experiments.figures.fig2",
-        lambda scale, wireless, seed, jobs, step_workers=1, overlap_chat=False: fake,
+        lambda scale, wireless, seed, jobs, step_workers=1: fake,
     )
     assert cli.main(["fig", "2b"]) == 0
     assert "Fig. 2(b)" in capsys.readouterr().out
@@ -110,7 +110,7 @@ def test_cmd_table_with_stubs(monkeypatch, capsys):
     )
     seen = {}
 
-    def fake_table3(scale, seed, jobs, step_workers=1, overlap_chat=False):
+    def fake_table3(scale, seed, jobs, step_workers=1):
         seen["jobs"] = jobs
         return fake
 

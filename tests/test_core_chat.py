@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.chat import (
+    ChatBytesMemo,
     equal_compression_decision,
     estimated_chat_bytes,
     pairwise_chat,
 )
+from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.net import ChannelConfig, WirelessModel
+from repro.sim.dataset import DrivingDataset, Frame
+from tests.conftest import make_node
 
 CHANNEL = ChannelConfig()
 CLEAN = WirelessModel(enabled=False)
@@ -174,3 +180,110 @@ class TestEstimatedChatBytes:
             + node_a.config.nominal_model_bytes
         )
         assert total == expected
+
+
+class TestChatBytesMemo:
+    def test_hit_and_value(self, node_pair):
+        node_i, node_j = node_pair
+        memo = ChatBytesMemo()
+        value = memo.estimate(node_i, node_j, 0.6)
+        assert value == estimated_chat_bytes(node_i, node_j, 0.6)
+        assert (memo.hits, memo.misses) == (0, 1)
+        assert memo.estimate(node_i, node_j, 0.6) == value
+        assert memo.hits == 1
+
+    def test_invalidated_by_coreset_change(self, node_pair):
+        node_i, node_j = node_pair
+        memo = ChatBytesMemo()
+        before = memo.estimate(node_i, node_j, 1.0)
+        # Absorption grows the coreset dataset -> generation bump.
+        frame = node_j.dataset.frame(0)
+        node_i.coreset.data.add(
+            Frame("memo-test-frame", frame.bev, frame.command, frame.waypoints)
+        )
+        after = memo.estimate(node_i, node_j, 1.0)
+        assert memo.misses == 2
+        assert after == estimated_chat_bytes(node_i, node_j, 1.0)
+        assert after != before
+
+    def test_refresh_swaps_identity(self, node_pair):
+        node_i, node_j = node_pair
+        memo = ChatBytesMemo()
+        memo.estimate(node_i, node_j, 1.0)
+        node_i.refresh_coreset()  # new dataset object -> new uid
+        memo.estimate(node_i, node_j, 1.0)
+        assert memo.misses == 2
+
+    def test_capacity_clears_wholesale(self, node_pair):
+        node_i, node_j = node_pair
+        memo = ChatBytesMemo()
+        memo.max_entries = 2
+        memo.estimate(node_i, node_j, 0.1)
+        memo.estimate(node_i, node_j, 0.2)
+        memo.estimate(node_i, node_j, 0.3)  # evicts everything first
+        assert len(memo._table) == 1
+
+
+#: Long enough for a second chat round: pairs chat at t ~ 0-8, then
+#: again after the 60 s cooldown with divergent models.
+MEMO_RUN_DURATION = 120.0
+
+
+def build_trainer(fleet_datasets, traces, seed):
+    validation = DrivingDataset()
+    for dataset in fleet_datasets.values():
+        validation.extend([dataset.frame(i) for i in range(0, len(dataset), 8)])
+    nodes = [
+        make_node(vid, dataset, coreset_size=10, seed=3)
+        for vid, dataset in sorted(fleet_datasets.items())
+    ]
+    config = LbChatConfig(
+        duration=MEMO_RUN_DURATION,
+        train_interval=2.0,
+        record_interval=20.0,
+        wireless_loss=False,
+        seed=seed,
+    )
+    return LbChatTrainer(nodes, traces, validation, config)
+
+
+def run_digest(trainer) -> tuple:
+    grid = np.linspace(0.0, MEMO_RUN_DURATION, 7)
+    return (
+        tuple(trainer.loss_curve.mean_curve(grid).tolist()),
+        tuple(sorted(trainer.counters.snapshot().items())),
+        tuple(node.flat_params.tobytes() for node in trainer.nodes),
+        tuple(tuple(node.dataset.ids) for node in trainer.nodes),
+        trainer.receive_rate.snapshot()["attempted"],
+        trainer.receive_rate.snapshot()["completed"],
+    )
+
+
+class TestChatBytesMemoInRun:
+    @settings(
+        max_examples=3,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(seed=st.sampled_from((1, 2, 3)))
+    def test_memo_is_invisible_in_results(self, fleet_datasets, traces, seed):
+        """Runs must not be perturbed by the chat-bytes memo.
+
+        The reference trainer bypasses the memo entirely (every estimate
+        recomputed); the candidate uses the memoized path.  Digests must
+        match bit-for-bit for every seed.
+        """
+        reference = build_trainer(fleet_datasets, traces, seed)
+        reference.estimate_chat_bytes = (
+            lambda i, j, psi_total: estimated_chat_bytes(
+                reference.nodes[i], reference.nodes[j], psi_total
+            )
+        )
+        candidate = build_trainer(fleet_datasets, traces, seed)
+        reference.run()
+        candidate.run()
+        assert candidate._chat_bytes_memo.misses > 0  # the memo path engaged
+        assert run_digest(candidate) == run_digest(reference)

@@ -59,8 +59,10 @@ class TestTrainingDuringChats:
         busy = run_trainer(setup)
         nodes, traces, validation = setup
         expected_steps = len(nodes) * int(100.0 / 2.0)
-        # All vehicles train at full rate regardless of chat load.
-        assert busy.counters.get("train_steps") >= expected_steps * 0.95
+        # All vehicles train at full rate regardless of chat load: the
+        # radio never gates training, so the count is exact.
+        assert busy.counters.get("chats") > 0
+        assert busy.counters.get("train_steps") == expected_steps
 
 
 class TestMulticast:

@@ -40,6 +40,23 @@ class TestBusyAccounting:
         base.sim.run(until=6.0)
         assert base.is_idle(0)
 
+    def test_occupy_merges_overlapping_windows(self, base):
+        base.occupy(0, 5.0)
+        assert base.busy_until[0] == 5.0
+        # A shorter overlapping occupancy must not shrink the horizon.
+        base.sim.advance_to(1.0)
+        base.occupy(0, 2.0)
+        assert base.busy_until[0] == 5.0
+        # Extending past the horizon merges to the later end.
+        base.sim.advance_to(4.0)
+        base.occupy(0, 10.0)
+        assert base.busy_until[0] == 14.0
+        base.sim.advance_to(13.999)
+        assert not base.is_idle(0)
+        base.sim.advance_to(14.0)
+        assert base.is_idle(0)
+        assert base.is_idle(1)
+
 
 class TestPairCooldown:
     def test_fresh_pair_ready(self, base):

@@ -13,6 +13,7 @@ parameters.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compression import compress_topk, decompress, topk_for_psi, topk_plan
+from repro.compression import CompressedModel, compress_topk, decompress, topk_for_psi
+from repro.compression.topk import _BYTES_PER_PAIR, _BYTES_PER_VALUE
 from repro.core.node import NodeConfig, VehicleNode
 from repro.core.psi import DEFAULT_PSI_GRID, PsiLossMap, _topk_levels, build_psi_map
 from repro.coreset import PenaltyConfig, penalized_loss
@@ -41,6 +43,58 @@ PENALTIES = {
 
 
 # -- the oracle: the clone/compress/decompress loop the probe replaced --------
+
+
+@dataclass(frozen=True)
+class TopkPlan:
+    """One magnitude ordering of a parameter vector, sliced per level.
+
+    Level ``psi`` keeps the last ``k`` entries of the ascending
+    ``argsort`` of ``|flat|`` — the reference top-k set, ties included.
+    """
+
+    flat: np.ndarray  # float32 parameter snapshot
+    order: np.ndarray  # argsort of |flat|, ascending magnitude
+    nominal_size_bytes: int
+
+    def compress(self, psi: float) -> CompressedModel:
+        """The plan's parameters sparsified to relative size ``psi``."""
+        n = self.flat.size
+        if psi >= 1.0:
+            return CompressedModel(
+                indices=np.arange(n, dtype=np.int64),
+                values=self.flat.copy(),
+                n_total=n,
+                psi=1.0,
+                nominal_bytes=self.nominal_size_bytes,
+            )
+        k = topk_for_psi(n, psi)
+        if k == 0:
+            return CompressedModel(
+                indices=np.zeros(0, dtype=np.int64),
+                values=np.zeros(0, dtype=np.float32),
+                n_total=n,
+                psi=0.0,
+                nominal_bytes=0,
+            )
+        idx = np.sort(self.order[n - k :])
+        achieved_psi = k * _BYTES_PER_PAIR / (n * _BYTES_PER_VALUE)
+        return CompressedModel(
+            indices=idx.astype(np.int64),
+            values=self.flat[idx].copy(),
+            n_total=n,
+            psi=float(achieved_psi),
+            nominal_bytes=int(round(achieved_psi * self.nominal_size_bytes)),
+        )
+
+
+def topk_plan(flat: np.ndarray, nominal_size_bytes: int) -> TopkPlan:
+    """Sort ``flat`` by magnitude once, for repeated :meth:`TopkPlan.compress`."""
+    flat = np.asarray(flat, dtype=np.float32)
+    # The default (unstable) argsort decides ties at a cut; the psi-map
+    # probe falls back to this same call on a tied cut.
+    order = np.argsort(np.abs(flat))
+    return TopkPlan(flat=flat, order=order, nominal_size_bytes=nominal_size_bytes)
 
 
 def oracle_psi_map(model, evaluate_on_coreset, nominal_size_bytes, psi_grid, compress_fn=None):
