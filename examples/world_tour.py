@@ -2,14 +2,11 @@
 
 Renders the world a few times while it runs — fleet vehicles as
 letters, background cars as ``c``, pedestrians as ``.``, one vehicle's
-route as ``*`` — then demonstrates the §III-A handshake protocol
-including a three-way proposal cycle being broken.
+route as ``*``.
 
 Run:  python examples/world_tour.py
 """
 
-from repro.core.handshake import HandshakeMediator, ProposalOutcome
-from repro.engine import Simulator
 from repro.sim import World, WorldConfig
 from repro.sim.render_ascii import render_world
 
@@ -33,26 +30,5 @@ def tour() -> None:
         world.run(15.0)
 
 
-def handshake_demo() -> None:
-    print("Handshake demo: a three-way proposal cycle (A->B, B->C, C->A)")
-    sim = Simulator()
-    mediator = HandshakeMediator(sim, max_wait=2.0)
-    outcomes = {}
-
-    def propose(proposer, target):
-        outcome = yield from mediator.propose(proposer, target)
-        outcomes[(proposer, target)] = outcome
-
-    for proposer, target in ((0, 1), (1, 2), (2, 0)):
-        sim.process(propose(proposer, target))
-    sim.run()
-    for (proposer, target), outcome in sorted(outcomes.items()):
-        print(f"  vehicle {proposer} -> vehicle {target}: {outcome.value}")
-    accepted = sum(o is ProposalOutcome.ACCEPTED for o in outcomes.values())
-    print(f"  resolved in {sim.now:.2f}s with {accepted} accepted chat(s); "
-          "no vehicle waits forever.")
-
-
 if __name__ == "__main__":
     tour()
-    handshake_demo()

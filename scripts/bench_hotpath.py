@@ -27,8 +27,8 @@ bytes on disk per checkpoint — the artifact behind
 
 ``--suite fleet`` measures the fleet-batched training engine (ISSUE 7):
 batched-vs-per-node train-step and evaluate throughput at 8/32/128
-nodes, the paper-scale training-step segment, and the end-to-end
-hotpath-smoke LbChat run.  Record the "before" phase with
+nodes, the paper-scale training-step segment, and (batched phase only)
+the end-to-end hotpath-smoke LbChat run.  Record the "before" phase with
 ``--fleet-mode per-node`` and the "after" phase with
 ``--fleet-mode batched``, then merge with ``--update-section fleet``
 so the report nests inside ``BENCH_hotpath.json`` next to the
@@ -372,19 +372,17 @@ def bench_fleet(batched: bool) -> dict[str, float]:
 
     out["paper_train_segment_s"] = _time(paper_rounds, repeat=3) / 5.0
 
-    # End-to-end check on the hotpath-smoke world: the full LbChat run
-    # with fleet batching toggled by config.
-    sys.path.insert(0, str(Path(__file__).parent))
-    from hotpath_smoke import build_scale
+    # End-to-end check on the hotpath-smoke world: the full LbChat run.
+    # A batchable fleet always trains batched, so only that phase has it.
+    if batched:
+        sys.path.insert(0, str(Path(__file__).parent))
+        from hotpath_smoke import build_scale
 
-    context = build_context(build_scale())
-    overrides = {} if batched else {"fleet_batching": False}
-    spec = RunSpec.for_context(
-        context, "LbChat", wireless=True, seed=3, overrides=overrides
-    )
-    t0 = time.perf_counter()
-    run_method(context, spec)
-    out["run_lbchat_smoke_s"] = time.perf_counter() - t0
+        context = build_context(build_scale())
+        spec = RunSpec.for_context(context, "LbChat", wireless=True, seed=3)
+        t0 = time.perf_counter()
+        run_method(context, spec)
+        out["run_lbchat_smoke_s"] = time.perf_counter() - t0
     return out
 
 
@@ -640,7 +638,8 @@ _SUITE_DESCRIPTIONS = {
         "paper_train_segment_s is one training instant at paper scale "
         "(32 vehicles, hidden=96, 20x20 BEV, 64-sample batches); "
         "run_lbchat_smoke_s is the end-to-end hotpath-smoke LbChat run "
-        "with fleet batching toggled by TrainerConfig.fleet_batching."
+        "(batched phase only; older per-node rows were recorded with a "
+        "since-removed switch that turned fleet batching off)."
     ),
     "cityscale": (
         "City-scale suite (ISSUE 8) in the constant-density growth "

@@ -13,7 +13,7 @@ whose config masks exactly one coreset-based design:
 
 from __future__ import annotations
 
-import copy
+from dataclasses import replace
 
 from repro.core.lbchat import LbChatConfig, LbChatTrainer
 from repro.sim.dataset import DrivingDataset
@@ -34,9 +34,8 @@ def _variant(
     name: str,
     **overrides,
 ) -> LbChatTrainer:
-    config = copy.deepcopy(config) if config is not None else LbChatConfig()
-    for key, value in overrides.items():
-        setattr(config, key, value)
+    # replace() raises TypeError on a field the config does not have.
+    config = replace(config if config is not None else LbChatConfig(), **overrides)
     trainer = LbChatTrainer(nodes, traces, validation, config)
     trainer.name = name
     return trainer

@@ -6,26 +6,20 @@ shared routes, then runs the full pairwise chat protocol with the best
 one.  Both participants are busy for the chat's simulated duration.
 
 Training itself runs through :class:`~repro.core.trainer_base.
-TrainerBase`'s fleet engine when enabled: all vehicles' train timers
-fire at the same instants (busy state gates chats, never training), so
-the fleet takes one batched step per instant, and every chat-side
-operation here — compression, Eq. 8 aggregation, coreset absorption —
-works on zero-copy views into the shared parameter bank.
+TrainerBase`'s fleet engine whenever the fleet can batch: all vehicles'
+train timers fire at the same instants (busy state gates chats, never
+training), so the fleet takes one batched step per instant, and every
+chat-side operation here — compression, Eq. 8 aggregation, coreset
+absorption — works on zero-copy views into the shared parameter bank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.chat import pairwise_chat
-from repro.core.trainer_base import (
-    TrainerBase,
-    TrainerConfig,
-    pair_times_from_state,
-    pair_times_state,
-)
+from repro.core.selection import select_priority, select_random
+from repro.core.trainer_base import TrainerBase, TrainerConfig
 
 __all__ = ["LbChatConfig", "LbChatTrainer"]
 
@@ -46,20 +40,6 @@ class LbChatConfig(TrainerConfig):
     #: Disable Eq. 5 route-based prioritization (extra ablation): pick a
     #: random idle neighbor instead of the best-scoring one.
     prioritize_neighbors: bool = True
-    #: Partner-selection policy ("priority" = Eq. 5; also "random",
-    #: "nearest", "longest_contact" — see repro.core.selection).
-    selection_policy: str = "priority"
-    #: Dynamic T_B (§III-C suggests it): divide the time budget by the
-    #: number of available neighbors so crowded moments leave room to
-    #: chat with several peers, subject to a floor.
-    dynamic_time_budget: bool = False
-    min_time_budget: float = 5.0
-    #: §V extension: with a multicast-capable radio (e.g. the
-    #: data-centric pub/sub radio) a vehicle broadcasts its coreset to
-    #: every idle neighbor in one transmission before pairwise chats.
-    multicast_coresets: bool = False
-    #: Re-broadcast to the same neighbor at most this often.
-    multicast_cooldown: float = 120.0
 
 
 class LbChatTrainer(TrainerBase):
@@ -70,60 +50,25 @@ class LbChatTrainer(TrainerBase):
     def __init__(self, nodes, traces, validation, config: LbChatConfig | None = None):
         super().__init__(nodes, traces, validation, config or LbChatConfig())
         self.config: LbChatConfig
-        self._last_multicast: dict[tuple[int, int], float] = {}
         from repro.core.chatlog import ChatLog
 
         self.chat_log = ChatLog(max_records=self.config.chat_log_budget)
 
     def on_scan(self, i: int) -> None:
         """Pick the best idle neighbor (Eq. 5) and run a chat."""
-        if self.config.multicast_coresets:
-            self._multicast_coreset(i)
         j = self._pick_partner(i)
         if j is None:
             return
         self._chat(i, j)
 
-    def _multicast_coreset(self, i: int) -> None:
-        """One broadcast delivers the coreset to every idle neighbor.
-
-        Transmission time is a single coreset at the *worst* receiver's
-        goodput (multicast runs at the rate the farthest subscriber can
-        sustain); receivers absorb passively.
-        """
-        now = self.sim.now
-        node = self.nodes[i]
-        targets = [
-            j
-            for j in self.idle_neighbors(i)
-            if now - self._last_multicast.get((i, j), -np.inf)
-            >= self.config.multicast_cooldown
-        ]
-        if not targets:
-            return
-        worst = max(self.traces.distance(i, j, now) for j in targets)
-        goodput = self.wireless.goodput_factor(worst)
-        if goodput <= 0:
-            return
-        rate = self.config.channel.bytes_per_second * goodput
-        duration = node.coreset.nominal_bytes / rate
-        for j in targets:
-            self.nodes[j].absorb_coreset(node.coreset)
-            self._last_multicast[(i, j)] = now
-        self.occupy(i, duration)
-        self.counters.add("multicasts")
-        self.counters.add("multicast_receivers", len(targets))
-
     # -- partner selection (Eq. 5) ------------------------------------------------
 
     def _pick_partner(self, i: int) -> int | None:
-        from repro.core.selection import get_selection_policy
-
         candidates = self.idle_neighbors(i)
         if not candidates:
             return None
-        name = self.config.selection_policy if self.config.prioritize_neighbors else "random"
-        return get_selection_policy(name)(self, i, candidates)
+        select = select_priority if self.config.prioritize_neighbors else select_random
+        return select(self, i, candidates)
 
     # -- the chat itself ------------------------------------------------------------
 
@@ -131,12 +76,6 @@ class LbChatTrainer(TrainerBase):
         now = self.sim.now
         estimate = self.contact_estimate(i, j, self.estimate_chat_bytes(i, j, 1.0))
         contact_deadline = now + max(estimate.contact_duration, 1.0)
-        time_budget = self.config.time_budget
-        if self.config.dynamic_time_budget:
-            n_available = max(len(self.idle_neighbors(i)), 1)
-            time_budget = max(
-                self.config.time_budget / n_available, self.config.min_time_budget
-            )
         outcome = pairwise_chat(
             self.nodes[i],
             self.nodes[j],
@@ -145,7 +84,7 @@ class LbChatTrainer(TrainerBase):
             contact_deadline=contact_deadline,
             wireless=self.wireless,
             channel=self.config.channel,
-            time_budget=time_budget,
+            time_budget=self.config.time_budget,
             lambda_c=self.config.lambda_c,
             equal_compression=self.config.equal_compression,
             mean_aggregation=self.config.mean_aggregation,
@@ -155,7 +94,6 @@ class LbChatTrainer(TrainerBase):
         self.occupy(i, outcome.duration)
         self.occupy(j, outcome.duration)
         self.note_chat(i, j)
-        self.note_transfer_window(i, j, outcome.duration)
         self.counters.add("chats")
         from repro.core.chatlog import ChatRecord
 
@@ -181,7 +119,6 @@ class LbChatTrainer(TrainerBase):
         from dataclasses import asdict
 
         return {
-            "last_multicast": pair_times_state(self._last_multicast),
             "chat_log": [asdict(record) for record in self.chat_log.records],
             "chat_log_dropped": self.chat_log.dropped,
         }
@@ -189,7 +126,6 @@ class LbChatTrainer(TrainerBase):
     def restore_extra(self, state) -> None:
         from repro.core.chatlog import ChatLog, ChatRecord
 
-        self._last_multicast = pair_times_from_state(state["last_multicast"])
         log = ChatLog(max_records=self.config.chat_log_budget)
         for record in state["chat_log"]:
             log.append(ChatRecord(**record))

@@ -61,9 +61,6 @@ class NodeConfig:
     #: Coreset construction strategy: "layered" (Algorithm 1),
     #: "uniform" or "kmeans" (§V alternatives).
     coreset_strategy: str = "layered"
-    #: Model compressor: "topk" (§III-C) or "quantize" (the alternative
-    #: the paper notes can be dropped in).
-    compressor: str = "topk"
     #: Stratify minibatches uniformly over commands — the standard
     #: branched-imitation trick (rare turn branches starve otherwise).
     balance_commands: bool = True
@@ -376,36 +373,20 @@ class VehicleNode:
         """Fit phi: compression level -> loss on the own coreset.
 
         Every level is written straight into the shared probe's buffer
-        and scored there.  The default top-k compressor samples the
-        grid from one magnitude sort (see
-        :func:`repro.core.psi.build_psi_map`); quantization compresses
-        per psi.
+        and scored there; the top-k levels come from one magnitude sort
+        (see :func:`repro.core.psi.build_psi_map`).
         """
-        compress_fn = None
-        if self.config.compressor != "topk":
-            compress_fn = lambda flat, psi: self.compress_model(psi)  # noqa: E731
         coreset = self.coreset.data
         return build_psi_map(
             self.flat_params,
             lambda params: self.evaluate_params(params, coreset),
             psi_grid=self.config.psi_grid,
-            compress_fn=compress_fn,
             out=shared_probe(self.model).flat,
         )
 
     def compress_model(self, psi: float) -> CompressedModel:
-        """Compress the current parameters to relative size ~psi.
-
-        Top-k sparsification by default; "quantize" maps psi to the
-        nearest bit width (quantization offers discrete size levels).
-        """
-        flat = self.flat_params
-        if self.config.compressor == "quantize":
-            from repro.compression import compress_quantize
-
-            bits = int(np.clip(round(psi * 32), 1, 32))
-            return compress_quantize(flat, bits, self.config.nominal_model_bytes)
-        return compress_topk(flat, psi, self.config.nominal_model_bytes)
+        """Top-k sparsify the current parameters to relative size ~psi."""
+        return compress_topk(self.flat_params, psi, self.config.nominal_model_bytes)
 
     def receive_and_aggregate(
         self,

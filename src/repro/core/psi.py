@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import Akima1DInterpolator
 
-from repro.compression import decompress, topk_for_psi
+from repro.compression import topk_for_psi
 from repro.core.value import truncated_gain
 
 __all__ = ["PsiLossMap", "build_psi_map", "optimize_compression", "PsiDecision"]
@@ -64,7 +64,6 @@ def build_psi_map(
     flat: np.ndarray,
     score,
     psi_grid: tuple[float, ...] = DEFAULT_PSI_GRID,
-    compress_fn=None,
     out: np.ndarray | None = None,
 ) -> PsiLossMap:
     """Sample compression levels and fit the phi mapping.
@@ -77,10 +76,6 @@ def build_psi_map(
         Callable ``(params) -> float`` returning the weighted loss of a
         flat parameter vector on the vehicle's own coreset.  It is
         called once per level with ``out`` holding that level.
-    compress_fn:
-        Optional ``(flat, psi) -> CompressedModel`` matching the
-        compressor the vehicle will actually use; each level is then
-        its decompressed output.  Defaults to magnitude top-k.
     out:
         Scratch float32 vector of ``flat.size`` that every level is
         written into — typically the buffer behind a
@@ -88,11 +83,7 @@ def build_psi_map(
     """
     flat = np.asarray(flat, dtype=np.float32)
     buf = np.empty_like(flat) if out is None else out
-    if compress_fn is None:
-        write_level = _topk_levels(flat)
-    else:
-        def write_level(psi: float, dst: np.ndarray) -> None:
-            np.copyto(dst, decompress(compress_fn(flat, psi)))
+    write_level = _topk_levels(flat)
     psis, losses = [], []
     for psi in sorted(psi_grid):
         if psi >= 1.0:

@@ -73,17 +73,10 @@ class TrainerConfig:
     #: Minimum time before the same pair exchanges again — repeat chats
     #: with a peer whose model/data was just absorbed add nothing.
     pair_cooldown: float = 60.0
-    #: Record chat windows in a MAC contention tracker (sensitivity
-    #: studies; the paper's channel model is contention-free).
-    track_contention: bool = False
     wireless_loss: bool = True
     max_range: float = 500.0
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     seed: int = 0
-    #: Train the whole fleet through one batched parameter bank
-    #: (:mod:`repro.core.fleet`).  Falls back to per-node training
-    #: automatically when the nodes are heterogeneous.
-    fleet_batching: bool = True
     #: Ring-buffer budget for per-chat logs (0 = unbounded).  City-scale
     #: fleets chat often enough that an append-only log would dominate
     #: resident memory; the budget keeps the newest records and counts
@@ -92,7 +85,7 @@ class TrainerConfig:
     #: Shard each batched fleet step across this many forked worker
     #: processes over shared-memory banks (:mod:`repro.parallel.stepshard`).
     #: Purely an execution strategy: results are bit-identical for every
-    #: value.  1 = serial; ignored without :attr:`fleet_batching`.
+    #: value.  1 = serial; ignored when the fleet cannot batch.
     step_workers: int = 1
 
 
@@ -136,27 +129,12 @@ class TrainerBase:
         self._next_train = np.zeros(len(nodes))
         self._next_record = 0.0
         self._restored_at: float | None = None
-        self.contention = None
-        if config.track_contention:
-            from repro.net.mac import ContentionTracker
+        # The whole fleet trains through one batched parameter bank
+        # (:mod:`repro.core.fleet`) when it can; heterogeneous nodes
+        # fall back to per-node training (``fleet`` stays None).
+        from repro.core.fleet import FleetEngine
 
-            self.contention = ContentionTracker(sense_range=config.max_range)
-        self.fleet = None
-        if config.fleet_batching:
-            from repro.core.fleet import FleetEngine
-
-            self.fleet = FleetEngine.try_build(
-                nodes, step_workers=config.step_workers
-            )
-
-    def note_transfer_window(self, i: int, j: int, duration: float) -> None:
-        """Register a chat's airtime with the contention tracker (if on)."""
-        if self.contention is None or duration <= 0:
-            return
-        midpoint = 0.5 * (
-            self.traces.position(i, self.sim.now) + self.traces.position(j, self.sim.now)
-        )
-        self.contention.register(self.sim.now, self.sim.now + duration, midpoint)
+        self.fleet = FleetEngine.try_build(nodes, step_workers=config.step_workers)
 
     # -- helpers subclasses use ------------------------------------------------
 

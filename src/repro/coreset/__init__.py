@@ -17,14 +17,11 @@ from repro.coreset.merge import merge_coresets, reduce_coreset
 from repro.coreset.penalty import PenaltyConfig, command_loss_entropy, penalized_loss
 from repro.coreset.verify import relative_coreset_error
 from repro.coreset.strategies import build_coreset_with, kmeans_coreset, uniform_coreset
-from repro.coreset.theory import coreset_size_bound, epsilon_for_size
 
 __all__ = [
     "build_coreset_with",
     "uniform_coreset",
     "kmeans_coreset",
-    "coreset_size_bound",
-    "epsilon_for_size",
     "Coreset",
     "build_coreset",
     "layer_assignments",

@@ -1,50 +1,8 @@
-"""Tests for LaTeX rendering and CLI command plumbing (no training)."""
+"""Tests for CLI command plumbing (no training)."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser
-from repro.experiments.latex import latex_curves, latex_table
-
-
-class TestLatexTable:
-    def test_structure(self):
-        tex = latex_table(
-            "Table II", ["Straight"], ["LbChat", "DP"], {"Straight": {"LbChat": 94.0, "DP": 75.0}}
-        )
-        assert r"\begin{table}" in tex and r"\end{table}" in tex
-        assert "94" in tex and "75" in tex
-        assert "Straight & 94 & 75" in tex
-
-    def test_missing_cells_dash(self):
-        tex = latex_table("T", ["A"], ["x", "y"], {"A": {"x": 1.0}})
-        assert "A & 1 & -" in tex
-
-    def test_escaping(self):
-        tex = latex_table("100% & more", ["r_1"], ["c#1"], {"r_1": {"c#1": 5.0}})
-        assert r"100\% \& more" in tex
-        assert r"r\_1" in tex
-        assert r"c\#1" in tex
-
-    def test_label_included(self):
-        tex = latex_table("T", ["A"], ["x"], {"A": {"x": 1.0}}, label="tab:t2")
-        assert r"\label{tab:t2}" in tex
-
-
-class TestLatexCurves:
-    def test_pgfplots_structure(self):
-        grid = np.array([0.0, 10.0])
-        tex = latex_curves("Fig 2", grid, {"LbChat": np.array([5.0, 1.0])})
-        assert r"\begin{tikzpicture}" in tex
-        assert r"\addplot coordinates {(0,5.0000) (10,1.0000)};" in tex
-        assert r"\addlegendentry{LbChat}" in tex
-
-    def test_multiple_series(self):
-        grid = np.array([0.0, 1.0])
-        tex = latex_curves(
-            "F", grid, {"a": np.array([1.0, 0.5]), "b": np.array([2.0, 1.5])}
-        )
-        assert tex.count(r"\addplot") == 2
 
 
 class TestCliParser:

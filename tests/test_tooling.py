@@ -1,6 +1,9 @@
-"""Tests for tooling: checkpoints, run archives, context cache, CLI, ASCII."""
+"""Tests for tooling: checkpoints, run archives, context cache, CLI, ASCII,
+and the import-graph reachability of every module."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,3 +197,96 @@ class TestAsciiRender:
         plan = random_route(town, np.random.default_rng(0), min_length=100.0)
         art = render_town(town, width=40, plan=plan)
         assert "*" in art
+
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
+#: Non-test entry points: directories walked whole, plus two src modules.
+ENTRY_DIRS = ("scripts", "perfbench", "benchmarks", "examples")
+ENTRY_MODULES = ("repro.cli", "repro.__main__")
+
+
+def _module_path(name: str) -> Path | None:
+    """The file that defines dotted module ``name`` under ``src/``, if any."""
+    base = SRC.joinpath(*name.split("."))
+    if (base / "__init__.py").is_file():
+        return base / "__init__.py"
+    if base.with_suffix(".py").is_file():
+        return base.with_suffix(".py")
+    return None
+
+
+def _imports(path: Path):
+    """``(module, [(name, bound_as)])`` per import; ``None`` names for ``import m``.
+
+    Walks the whole tree, so function-local (lazy) imports count too.
+    """
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.module, [(a.name, a.asname or a.name) for a in node.names]
+
+
+def reached_modules() -> set[str]:
+    """Every ``repro`` module the entry points import, directly or not.
+
+    A package ``__init__`` is not followed wholesale: ``from pkg import
+    X`` reaches only the submodule that defines ``X`` (following
+    re-exports), so a module that its package merely re-exports is not
+    reached by importing the package.
+    """
+    reached: set[str] = set()
+    pending: list[str] = []
+
+    def reach(name: str) -> None:
+        parts = name.split(".")
+        for k in range(1, len(parts) + 1):
+            module = ".".join(parts[:k])
+            if module not in reached and _module_path(module) is not None:
+                reached.add(module)
+                pending.append(module)
+
+    def reach_name(module: str, name: str) -> None:
+        if _module_path(f"{module}.{name}") is not None:
+            reach(f"{module}.{name}")
+            return
+        reach(module)
+        path = _module_path(module)
+        if path is None or path.name != "__init__.py":
+            return
+        for source, names in _imports(path):
+            for original, bound in names or ():
+                if bound == name:
+                    reach_name(source, original)
+
+    def follow(path: Path, package_init: bool) -> None:
+        for module, names in _imports(path):
+            if names is None:
+                reach(module)
+            for name, _ in names or ():
+                # A package's own re-exports are followed only on request.
+                if not package_init or _module_path(f"{module}.{name}") is not None:
+                    reach_name(module, name)
+
+    for directory in ENTRY_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            follow(path, package_init=False)
+    for module in ENTRY_MODULES:
+        reach(module)
+    while pending:
+        path = _module_path(pending.pop())
+        follow(path, package_init=path.name == "__init__.py")
+    return reached
+
+
+class TestReachability:
+    def test_every_module_is_reached_from_an_entry_point(self):
+        modules = {
+            ".".join(path.relative_to(SRC).with_suffix("").parts)
+            for path in (SRC / "repro").rglob("*.py")
+            if path.name != "__init__.py"
+        }
+        unreached = sorted(m.removeprefix("repro.") for m in modules - reached_modules())
+        assert not unreached, f"modules no entry point imports: {unreached}"
